@@ -17,7 +17,7 @@ from .limit import (WState, WTrajectory, integrate_w, project_initial_w,
                     step_w, write_w_csv)
 from .mesh import (Mesh, TimeGrid, build_time_grid_ramped,
                    build_time_grid_uniform, build_uniform_1d,
-                   validate_admissible, write_mesh_csv)
+                   write_mesh_csv)
 from .scheme import (SolverConfig, State, StepStats, Trajectory, integrate,
                      ode_upper_solution, project_initial, residual, step,
                      write_stats_csv, write_trajectory_csv)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConsistencyError", "NonConvergenceError",
     "Mesh", "TimeGrid", "build_uniform_1d", "build_time_grid_uniform",
-    "build_time_grid_ramped", "validate_admissible", "write_mesh_csv",
+    "build_time_grid_ramped", "write_mesh_csv",
     "RateLaw", "Kinetics", "DimerisationKinetics", "dimerisation_kinetics",
     "power_law_kinetics", "kinetics_from_dict", "invert_monotone",
     "dimerisation_u_closed_form", "dimerisation_g_closed_form",

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import (DimerisationKinetics, Kinetics,
-                       dimerisation_g_closed_form, dimerisation_u_closed_form)
+from .kinetics import Kinetics
 from .limit import WTrajectory
 from .mesh import Mesh, TimeGrid
 from .scheme import State, Trajectory
@@ -78,12 +77,10 @@ def gradient_energy(mesh: Mesh, grid: TimeGrid,
     _, _, u, v = traj.arrays()
     if mesh.n_faces == 0 or grid.n_steps == 0:
         return 0.0, 0.0
-    ka = mesh.face_cells[:, 0]
-    lb = mesh.face_cells[:, 1]
     t = mesh.transmissibilities
     dt = grid.steps
-    du = u[1:, lb] - u[1:, ka]           # (n_steps, n_faces)
-    dv = v[1:, lb] - v[1:, ka]
+    du = u[1:, 1:] - u[1:, :-1]          # (n_steps, n_faces)
+    dv = v[1:, 1:] - v[1:, :-1]
     e_u = float(np.sum(dt[:, None] * t[None, :] * du ** 2))
     e_v = float(np.sum(dt[:, None] * t[None, :] * dv ** 2))
     return e_u, e_v
@@ -210,16 +207,12 @@ def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
 
 # -- distance to the fast-reaction limit ------------------------------------
 
-def compare_to_limit(kin: Kinetics, traj: Trajectory, wtraj: WTrajectory,
-                     closed_form: bool | None = None) -> dict:
+def compare_to_limit(kin: Kinetics, traj: Trajectory,
+                     wtraj: WTrajectory) -> dict:
     """Max-norm distance between the coupled final state and the equilibrium
     state reconstructed from the limit solver's final conserved variable:
 
         J_u = max_K |u_K - u_from_w(w_K)|,  J_v = max_K |v_K - v_from_w(w_K)|.
-
-    For dimerisation kinetics the closed-form channel's variant is reported
-    alongside (keys J_u_closed_form, J_v_closed_form) unless disabled; the
-    two channels are *reported*, never reconciled.
     """
     fin = traj.final
     wfin = wtraj.final
@@ -231,19 +224,11 @@ def compare_to_limit(kin: Kinetics, traj: Trajectory, wtraj: WTrajectory,
     w = np.maximum(wfin.w, 0.0)
     u_lim = np.asarray(kin.u_from_w(w), dtype=float)
     v_lim = np.asarray(kin.v_from_u(u_lim), dtype=float)
-    out = {
+    return {
         "final_time": float(fin.time),
         "J_u": float(np.max(np.abs(fin.u - u_lim))),
         "J_v": float(np.max(np.abs(fin.v - v_lim))),
     }
-    if closed_form is None:
-        closed_form = isinstance(kin, DimerisationKinetics)
-    if closed_form:
-        h = np.asarray(dimerisation_u_closed_form(kin, w), dtype=float)
-        g = np.asarray(dimerisation_g_closed_form(kin, h), dtype=float)
-        out["J_u_closed_form"] = float(np.max(np.abs(fin.u - h)))
-        out["J_v_closed_form"] = float(np.max(np.abs(fin.v - g)))
-    return out
 
 
 # -- translate seminorms -----------------------------------------------------
@@ -251,7 +236,7 @@ def compare_to_limit(kin: Kinetics, traj: Trajectory, wtraj: WTrajectory,
 def translate_seminorms(mesh: Mesh, grid: TimeGrid, traj: Trajectory,
                         kin: Kinetics, shifts=(), lags=()) -> list[dict]:
     """Exact space/time translate seminorms of the piecewise-constant
-    reconstruction, for fields u, v and w = u/alpha + v/beta (1D only).
+    reconstruction, for fields u, v and w = u/alpha + v/beta.
 
     Space, shift xi >= 0:   sum_n dt_n int_0^{X-xi} (f(x+xi) - f(x))^2 dx
     Time, lag tau >= 0:     sum_K m_K int_0^{T-tau} (f_K(t+tau) - f_K(t))^2 dt
@@ -260,8 +245,6 @@ def translate_seminorms(mesh: Mesh, grid: TimeGrid, traj: Trajectory,
     the values here are computed exactly by merged-breakpoint integration,
     no sampling involved.  Returns one record per (field, kind, displacement).
     """
-    if mesh.dim != 1 or mesh.edges is None:
-        raise ValueError("translate seminorms are implemented for 1D meshes")
     _require_complete(grid, traj.levels)
     length = float(mesh.edges[-1] - mesh.edges[0])
     for xi in shifts:
@@ -408,12 +391,8 @@ class DiagnosticsReport:
         lines.append(f"  reaction defect : R = {self.reaction_defect:.6e}")
         if self.compare is not None:
             c = self.compare
-            line = (f"  vs limit        : J_u = {c['J_u']:.6e}, "
-                    f"J_v = {c['J_v']:.6e}")
-            if "J_u_closed_form" in c:
-                line += (f" (closed-form channel: {c['J_u_closed_form']:.6e}, "
-                         f"{c['J_v_closed_form']:.6e})")
-            lines.append(line)
+            lines.append(f"  vs limit        : J_u = {c['J_u']:.6e}, "
+                         f"J_v = {c['J_v']:.6e}")
         if self.translates:
             lines.append(f"  translates      : {len(self.translates)} "
                          "seminorm values (see translates CSV)")

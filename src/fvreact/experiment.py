@@ -191,8 +191,7 @@ class ExperimentConfig:
         _validate_initial(init_d)
 
         solver_d = _section(raw, "solver",
-                            {"newton_tol", "newton_max_iter", "linesearch",
-                             "linear_solver", "linear_tol"}) \
+                            {"newton_tol", "newton_max_iter", "linesearch"}) \
             if "solver" in raw else {}
         try:
             solver = SolverConfig(**solver_d)
@@ -267,8 +266,6 @@ class ExperimentConfig:
                 "newton_tol": self.solver.newton_tol,
                 "newton_max_iter": self.solver.newton_max_iter,
                 "linesearch": self.solver.linesearch,
-                "linear_solver": self.solver.linear_solver,
-                "linear_tol": self.solver.linear_tol,
             },
             "quadrature_points": self.quadrature_points,
             "output": {"levels": "all" if self.output_levels is None
@@ -576,10 +573,7 @@ def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(job, ks))
 
-    columns = ["k", "J_u", "J_v"]
-    extra = [c for c in ("J_u_closed_form", "J_v_closed_form",
-                         "E_u", "E_v", "R") if c in records[0]]
-    columns += extra
+    columns = ["k", "J_u", "J_v", "E_u", "E_v", "R"]
     path = outdir / "sweep_summary.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

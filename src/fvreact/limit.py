@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton import damped_newton
-from .errors import ConsistencyError, NonConvergenceError
+from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
-from .scheme import SolverConfig, StepStats, _cell_averages, _chain_transmissibilities
+from .scheme import SolverConfig, StepStats, _cell_averages, _step_failure
 
 __all__ = [
     "WState",
@@ -106,7 +106,12 @@ def _phi_deriv_ext(kin: Kinetics, w: np.ndarray) -> np.ndarray:
 
 def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
            cfg: SolverConfig | None = None) -> tuple[WState, StepStats]:
-    """Advance the conserved variable one implicit step."""
+    """Advance the conserved variable one implicit step.
+
+    Tries damped Newton from the previous state, then from the mass-weighted
+    mean; raises NonConvergenceError naming the step and both attempts when
+    neither converges.
+    """
     if cfg is None:
         cfg = SolverConfig()
     if dt < 0:
@@ -123,25 +128,22 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     def norm_fn(w, r):
         return float(np.max(np.abs(r) / (m * np.maximum(1.0, np.abs(w)))))
 
-    solve_fn = _make_solve_fn_w(mesh, kin, dt, cfg)
+    solve_fn = _make_solve_fn_w(mesh, kin, dt)
 
-    guesses = [("", prev.w)]
     mean = float(np.sum(m * prev.w) / np.sum(m))
-    guesses.append(("mean-guess", np.full(n, mean)))
-    result = None
-    fallback = ""
-    for tag, w0 in guesses:
+    guesses = [("", prev.w), ("mean-guess", np.full(n, mean))]
+    attempts = []
+    for fallback, w0 in guesses:
         result = damped_newton(w0, residual_fn, solve_fn, norm_fn,
                                tol=cfg.newton_tol,
                                max_iter=cfg.newton_max_iter,
                                linesearch=cfg.linesearch)
         if result.converged:
-            fallback = tag
             break
-    if result is None or not result.converged:
-        raise NonConvergenceError("implicit diffusion step did not converge",
-                                  iterations=result.iterations,
-                                  residual=result.residual)
+        attempts.append((fallback or "previous-state", result.iterations,
+                         result.residual))
+    else:
+        raise _step_failure("limit", prev, dt, kin, attempts)
 
     w_new = result.z
     slack = 10.0 * cfg.newton_tol * max(1.0, float(np.max(np.abs(prev.w))))
@@ -158,62 +160,20 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     return state, stats
 
 
-def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float, cfg: SolverConfig):
+def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float):
+    from scipy.linalg import solve_banded
+
     m = mesh.volumes
-    n = mesh.n_cells
-
-    if cfg.linear_solver == "sparse-direct" and mesh.is_chain() and n >= 2:
-        from scipy.linalg import solve_banded
-
-        t = _chain_transmissibilities(mesh)
-        deg = np.zeros(n)
-        deg[:-1] += t
-        deg[1:] += t
-
-        def solve_fn(w, r):
-            phip = _phi_deriv_ext(kin, w)
-            ab = np.zeros((3, n))
-            ab[1] = m + dt * deg * phip
-            ab[0, 1:] = -dt * t * phip[1:]
-            ab[2, :-1] = -dt * t * phip[:-1]
-            return solve_banded((1, 1), ab, r)
-
-        return solve_fn
-
-    lap = mesh.laplacian()
-
-    if cfg.linear_solver == "dense-direct" or (
-            cfg.linear_solver == "sparse-direct" and n <= 4):
-        lap_dense = lap.toarray()
-
-        def solve_fn(w, r):
-            jac = np.diag(m) + dt * lap_dense * _phi_deriv_ext(kin, w)[None, :]
-            return np.linalg.solve(jac, r)
-
-        return solve_fn
-
-    from scipy import sparse
-    from scipy.sparse.linalg import bicgstab, spsolve
-
-    def assemble(w):
-        return (sparse.diags(m)
-                + dt * (lap @ sparse.diags(_phi_deriv_ext(kin, w)))).tocsc()
-
-    if cfg.linear_solver == "conjugate-gradient-class":
-        def solve_fn(w, r):
-            jac = assemble(w)
-            precond = sparse.diags(1.0 / jac.diagonal())
-            sol, info = bicgstab(jac, r, rtol=cfg.linear_tol, atol=0.0,
-                                 M=precond, maxiter=20 * n)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"Krylov linear solve failed (info={info})")
-            return sol
-
-        return solve_fn
+    t = mesh.transmissibilities
+    deg = mesh.deg
 
     def solve_fn(w, r):
-        return spsolve(assemble(w), r)
+        phip = _phi_deriv_ext(kin, w)
+        ab = np.zeros((3, mesh.n_cells))
+        ab[1] = m + dt * deg * phip
+        ab[0, 1:] = -dt * t * phip[1:]
+        ab[2, :-1] = -dt * t * phip[:-1]
+        return solve_banded((1, 1), ab, r)
 
     return solve_fn
 

@@ -1,8 +1,7 @@
-"""Cell-centered meshes and time grids.
+"""Cell-centered 1D meshes and time grids.
 
-Solvers touch a mesh only through cell measures, cell centers and
-interior-face transmissibilities, so ``Mesh`` is dimension-generic even
-though only the 1D constructor ships.  All arrays are immutable by
+A mesh is a chain of cells on an interval: face i joins cells i and i + 1,
+so every implicit step's Jacobian is banded.  All arrays are immutable by
 convention after construction.
 """
 
@@ -19,83 +18,52 @@ __all__ = [
     "build_uniform_1d",
     "build_time_grid_uniform",
     "build_time_grid_ramped",
-    "validate_admissible",
     "write_mesh_csv",
 ]
 
 
 @dataclass(eq=False)
 class Mesh:
-    """A cell-centered mesh described by cells and interior faces.
+    """A chain of cells on an interval; face i joins cells i and i + 1.
 
     Args:
-        dim: spatial dimension.
+        edges: cell boundary coordinates, shape (n_cells + 1,).
         volumes: cell measures, shape (n_cells,).
-        centers: cell center points, shape (n_cells, dim).
-        face_cells: interior faces as cell-index pairs (K, L), shape (n_faces, 2).
-        face_areas: face measures, shape (n_faces,).
-        face_distances: center-to-center distances across each face, shape (n_faces,).
-        transmissibilities: face measure / center distance, shape (n_faces,).
-        adjacency: neighbor cell ids per cell; derived from the face list when
-            omitted.  Accepting it as data lets ``validate_admissible`` detect
-            inconsistent inputs instead of silently rebuilding them.
-        edges: 1D only, cell boundary coordinates, shape (n_cells + 1,).
-            Required by quadrature and translate diagnostics; None otherwise.
+        transmissibilities: face measure / center distance per interior
+            face, shape (n_cells - 1,).
 
-    Construction checks shapes, index ranges and positive cell measures
-    (hard errors).  Remaining numeric admissibility (face positivity,
-    T = area/distance, adjacency symmetry) is the job of
-    :func:`validate_admissible`.
+    Derived on construction: ``x``, the cell centers, and ``deg``, the sum
+    of the transmissibilities of each cell's faces (the diagonal of the
+    Laplacian).
     """
 
-    dim: int
+    edges: np.ndarray
     volumes: np.ndarray
-    centers: np.ndarray
-    face_cells: np.ndarray
-    face_areas: np.ndarray
-    face_distances: np.ndarray
     transmissibilities: np.ndarray
-    adjacency: tuple[tuple[int, ...], ...] | None = None
-    edges: np.ndarray | None = None
+    x: np.ndarray = field(init=False, repr=False)
+    deg: np.ndarray = field(init=False, repr=False)
     _laplacian: object = field(init=False, repr=False, default=None)
-    _is_chain: bool | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        self.edges = np.asarray(self.edges, dtype=float)
         self.volumes = np.asarray(self.volumes, dtype=float)
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        if self.centers.shape[0] != self.n_cells and self.centers.shape[1] == self.n_cells:
-            self.centers = self.centers.T
-        self.face_cells = np.asarray(self.face_cells, dtype=int).reshape(-1, 2)
-        self.face_areas = np.asarray(self.face_areas, dtype=float)
-        self.face_distances = np.asarray(self.face_distances, dtype=float)
-        self.transmissibilities = np.asarray(self.transmissibilities, dtype=float)
-        if self.edges is not None:
-            self.edges = np.asarray(self.edges, dtype=float)
-
-        n, f = self.n_cells, self.n_faces
+        self.transmissibilities = np.asarray(self.transmissibilities,
+                                             dtype=float)
+        n = self.n_cells
         if n == 0:
             raise ValueError("mesh needs at least one cell")
         if not np.all(np.isfinite(self.volumes)) or np.any(self.volumes <= 0):
             raise ValueError("cell measures must be positive and finite")
-        if self.centers.shape != (n, self.dim):
+        if self.edges.shape != (n + 1,):
+            raise ValueError(f"edges must have {n + 1} entries for {n} cells")
+        if self.transmissibilities.shape != (n - 1,):
             raise ValueError(
-                f"centers shape {self.centers.shape} does not match "
-                f"{n} cells in dimension {self.dim}")
-        for name in ("face_areas", "face_distances", "transmissibilities"):
-            if getattr(self, name).shape != (f,):
-                raise ValueError(f"{name} must have one entry per face")
-        if f and (self.face_cells.min() < 0 or self.face_cells.max() >= n):
-            raise ValueError("face references a cell index out of range")
-        if self.adjacency is None:
-            neigh: list[list[int]] = [[] for _ in range(n)]
-            for k, l in self.face_cells:
-                neigh[k].append(int(l))
-                neigh[l].append(int(k))
-            self.adjacency = tuple(tuple(ns) for ns in neigh)
-        else:
-            self.adjacency = tuple(tuple(int(l) for l in ns) for ns in self.adjacency)
-            if len(self.adjacency) != n:
-                raise ValueError("adjacency must have one entry per cell")
+                f"transmissibilities must have {n - 1} entries for {n} cells")
+        self.x = 0.5 * (self.edges[:-1] + self.edges[1:])
+        t = self.transmissibilities
+        self.deg = np.zeros(n)
+        self.deg[:-1] += t
+        self.deg[1:] += t
 
     @property
     def n_cells(self) -> int:
@@ -103,20 +71,12 @@ class Mesh:
 
     @property
     def n_faces(self) -> int:
-        return self.face_cells.shape[0]
+        return self.n_cells - 1
 
     @property
     def size(self) -> float:
         """Mesh size: the largest cell measure."""
         return float(self.volumes.max())
-
-    @property
-    def x(self) -> np.ndarray:
-        """First center coordinate per cell (the only one in 1D)."""
-        return self.centers[:, 0]
-
-    def neighbors(self, k: int) -> tuple[int, ...]:
-        return self.adjacency[k]
 
     def laplacian(self):
         """Transmissibility-weighted graph Laplacian L (sparse CSR, PSD).
@@ -129,35 +89,15 @@ class Mesh:
             from scipy import sparse
 
             n = self.n_cells
-            if self.n_faces == 0:
-                self._laplacian = sparse.csr_matrix((n, n))
-            else:
-                ka = self.face_cells[:, 0]
-                lb = self.face_cells[:, 1]
-                t = self.transmissibilities
-                rows = np.concatenate([ka, lb, ka, lb])
-                cols = np.concatenate([lb, ka, ka, lb])
-                vals = np.concatenate([-t, -t, t, t])
-                self._laplacian = sparse.coo_matrix(
-                    (vals, (rows, cols)), shape=(n, n)).tocsr()
+            ka = np.arange(n - 1)
+            lb = ka + 1
+            t = self.transmissibilities
+            rows = np.concatenate([ka, lb, ka, lb])
+            cols = np.concatenate([lb, ka, ka, lb])
+            vals = np.concatenate([-t, -t, t, t])
+            self._laplacian = sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(n, n)).tocsr()
         return self._laplacian
-
-    def is_chain(self) -> bool:
-        """True when faces are exactly the consecutive pairs (i, i+1).
-
-        Such meshes admit a banded direct linear solve.
-        """
-        if self._is_chain is None:
-            if self.n_faces != self.n_cells - 1:
-                self._is_chain = False
-            else:
-                lo = np.minimum(self.face_cells[:, 0], self.face_cells[:, 1])
-                hi = np.maximum(self.face_cells[:, 0], self.face_cells[:, 1])
-                order = np.argsort(lo)
-                self._is_chain = bool(
-                    np.array_equal(lo[order], np.arange(self.n_cells - 1))
-                    and np.array_equal(hi[order], np.arange(1, self.n_cells)))
-        return self._is_chain
 
 
 @dataclass(eq=False)
@@ -201,19 +141,9 @@ def build_uniform_1d(length: float, n_cells: int) -> Mesh:
         raise ValueError(f"n_cells must be a positive integer, got {n_cells}")
     n = int(n_cells)
     h = length / n
-    edges = np.linspace(0.0, length, n + 1)
-    centers = (0.5 * (edges[:-1] + edges[1:])).reshape(n, 1)
-    face_cells = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    return Mesh(
-        dim=1,
-        volumes=np.full(n, h),
-        centers=centers,
-        face_cells=face_cells,
-        face_areas=np.ones(n - 1),
-        face_distances=np.full(n - 1, h),
-        transmissibilities=np.full(n - 1, 1.0 / h),
-        edges=edges,
-    )
+    return Mesh(edges=np.linspace(0.0, length, n + 1),
+                volumes=np.full(n, h),
+                transmissibilities=np.full(n - 1, 1.0 / h))
 
 
 def build_time_grid_uniform(final_time: float, n_steps: int) -> TimeGrid:
@@ -252,63 +182,11 @@ def build_time_grid_ramped(initial_step: float, growth: float,
     return TimeGrid(np.asarray(levels))
 
 
-def validate_admissible(mesh: Mesh, rel_tol: float = 1e-12) -> list[str]:
-    """Check mesh admissibility; returns a list of violations (empty = good).
-
-    Checks positivity of measures and distances, transmissibility consistency
-    T = face measure / center distance, uniqueness of face pairs, and that the
-    stored adjacency matches the face list symmetrically.
-    """
-    out: list[str] = []
-    for k in np.nonzero(mesh.volumes <= 0)[0]:
-        out.append(f"cell {k}: nonpositive measure {mesh.volumes[k]!r}")
-    for i in np.nonzero(mesh.face_areas <= 0)[0]:
-        out.append(f"face {i}: nonpositive measure {mesh.face_areas[i]!r}")
-    for i in np.nonzero(mesh.face_distances <= 0)[0]:
-        out.append(f"face {i}: nonpositive center distance {mesh.face_distances[i]!r}")
-
-    seen: set[tuple[int, int]] = set()
-    for i, (k, l) in enumerate(mesh.face_cells):
-        if k == l:
-            out.append(f"face {i}: joins cell {k} to itself")
-            continue
-        pair = (min(k, l), max(k, l))
-        if pair in seen:
-            out.append(f"face {i}: duplicate cell pair {pair}")
-        seen.add(pair)
-        if mesh.face_distances[i] > 0:
-            expected = mesh.face_areas[i] / mesh.face_distances[i]
-            t = mesh.transmissibilities[i]
-            if abs(t - expected) > rel_tol * max(abs(t), abs(expected)):
-                out.append(
-                    f"face {i}: transmissibility {t!r} != measure/distance {expected!r}")
-
-    # Adjacency must mirror the face list exactly, in both directions.
-    from_faces: list[set[int]] = [set() for _ in range(mesh.n_cells)]
-    for k, l in mesh.face_cells:
-        from_faces[k].add(int(l))
-        from_faces[l].add(int(k))
-    for k, ns in enumerate(mesh.adjacency):
-        for l in ns:
-            if l < 0 or l >= mesh.n_cells:
-                out.append(f"cell {k}: neighbor {l} out of range")
-            elif k not in mesh.adjacency[l]:
-                out.append(f"adjacency asymmetric between cells {k} and {l}")
-        if set(ns) != from_faces[k]:
-            out.append(f"cell {k}: adjacency {sorted(set(ns))} does not match "
-                       f"faces {sorted(from_faces[k])}")
-    return out
-
-
 def write_mesh_csv(mesh: Mesh, path) -> None:
-    """Dump a cell summary (id, center coordinates, measure) as CSV."""
-    if mesh.dim <= 3:
-        coord_names = ["x", "y", "z"][: mesh.dim]
-    else:
-        coord_names = [f"x{i}" for i in range(mesh.dim)]
+    """Dump a cell summary (id, center coordinate, measure) as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cell_id", *coord_names, "measure"])
+        writer.writerow(["cell_id", "x", "measure"])
         for k in range(mesh.n_cells):
-            writer.writerow([k, *(repr(float(c)) for c in mesh.centers[k]),
+            writer.writerow([k, repr(float(mesh.x[k])),
                              repr(float(mesh.volumes[k]))])

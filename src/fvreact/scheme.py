@@ -44,9 +44,6 @@ __all__ = [
     "write_stats_csv",
 ]
 
-_LINEAR_SOLVERS = ("dense-direct", "sparse-direct", "conjugate-gradient-class")
-
-
 @dataclass(eq=False)
 class State:
     """Cellwise concentrations at one time level."""
@@ -73,36 +70,17 @@ class State:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the implicit step.
-
-    linear_solver selects how Newton corrections are computed:
-      * "sparse-direct" (default): banded direct solve when the mesh is a
-        1D chain, scipy sparse LU otherwise (dense LAPACK below 5 cells,
-        where sparse machinery only adds overhead).
-      * "dense-direct": dense LAPACK solve; fine for small meshes.
-      * "conjugate-gradient-class": Krylov iteration (BiCGStab with diagonal
-        preconditioning) to linear_tol.
-    """
+    """Knobs of the implicit step's damped Newton iteration."""
 
     newton_tol: float = 1e-12
     newton_max_iter: int = 40
     linesearch: bool = True
-    linear_solver: str = "sparse-direct"
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.linear_solver == "cg":  # accepted shorthand
-            object.__setattr__(self, "linear_solver", "conjugate-gradient-class")
-        if self.linear_solver not in _LINEAR_SOLVERS:
-            raise ValueError(
-                f"linear_solver must be one of {_LINEAR_SOLVERS}, "
-                f"got {self.linear_solver!r}")
-        if self.linear_tol <= 0:
-            raise ValueError("linear_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,7 +138,7 @@ def project_initial(mesh: Mesh, u0, v0, n_quad: int = 1) -> State:
     """Project initial profiles onto cell averages.
 
     n_quad = 1 samples cell centers (the midpoint rule); higher orders use
-    Gauss-Legendre quadrature on each cell and require 1D cell edges.
+    Gauss-Legendre quadrature on each cell.
     Sampled values must be nonnegative.
     """
     u = _cell_averages(mesh, u0, n_quad, "u0")
@@ -173,15 +151,12 @@ def _cell_averages(mesh: Mesh, fn, n_quad: int, name: str) -> np.ndarray:
         raise ValueError(f"n_quad must be a positive integer, got {n_quad}")
     n_quad = int(n_quad)
     if n_quad == 1:
-        pts = mesh.x if mesh.dim == 1 else mesh.centers
-        vals = np.asarray(fn(pts), dtype=float)
+        vals = np.asarray(fn(mesh.x), dtype=float)
         if vals.shape != (mesh.n_cells,):
             raise ValueError(f"{name} must return one value per sample point")
         if np.any(vals < 0):
             raise ValueError(f"{name} is negative at a cell center")
         return vals
-    if mesh.edges is None:
-        raise ValueError("quadrature beyond the midpoint rule needs 1D cell edges")
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     lo = mesh.edges[:-1]
     hi = mesh.edges[1:]
@@ -220,105 +195,40 @@ def _check_shapes(mesh, prev, guess):
         raise ValueError("state size does not match the mesh")
 
 
-def _chain_transmissibilities(mesh: Mesh) -> np.ndarray:
-    """Per-pair transmissibility t[i] of face (i, i+1) on a chain mesh."""
-    t = np.empty(mesh.n_cells - 1)
-    lo = np.minimum(mesh.face_cells[:, 0], mesh.face_cells[:, 1])
-    t[lo] = mesh.transmissibilities
-    return t
-
-
-def _make_solve_fn(mesh: Mesh, kin: Kinetics, dt: float, cfg: SolverConfig):
+def _make_solve_fn(mesh: Mesh, kin: Kinetics, dt: float):
     """Return solve_fn(z, r) computing the Newton correction for the coupled
     system; z stacks [u, v]."""
+    from scipy.linalg import solve_banded
+
     n = mesh.n_cells
     m = mesh.volumes
+    t = mesh.transmissibilities
+    deg = mesh.deg
     a, b = kin.diff_u, kin.diff_v
     ah, bh = kin.alpha_hat, kin.beta_hat
+    idx_u = np.arange(0, 2 * n, 2)
+    idx_v = idx_u + 1
 
-    if cfg.linear_solver == "sparse-direct" and mesh.is_chain() and n >= 2:
-        from scipy.linalg import solve_banded
-
-        t = _chain_transmissibilities(mesh)
-        deg = np.zeros(n)
-        deg[:-1] += t
-        deg[1:] += t
-        idx_u = np.arange(0, 2 * n, 2)
-        idx_v = idx_u + 1
-
-        def solve_fn(z, r):
-            # Interleaved ordering (u_0, v_0, u_1, v_1, ...) makes the
-            # Jacobian pentadiagonal; assemble it directly in banded form.
-            u, v = z[:n], z[n:]
-            rup = _rate_deriv_ext(kin.rate_u, u)
-            rvp = _rate_deriv_ext(kin.rate_v, v)
-            ab = np.zeros((5, 2 * n))
-            ab[2, idx_u] = m + dt * a * deg + dt * m * ah * rup
-            ab[2, idx_v] = m + dt * b * deg + dt * m * bh * rvp
-            ab[1, idx_v] = -dt * m * ah * rvp      # d res_u / d v, same cell
-            ab[3, idx_u] = -dt * m * bh * rup      # d res_v / d u, same cell
-            ab[0, idx_u[1:]] = -dt * a * t         # u coupling to next cell
-            ab[0, idx_v[1:]] = -dt * b * t
-            ab[4, idx_u[:-1]] = -dt * a * t
-            ab[4, idx_v[:-1]] = -dt * b * t
-            rhs = np.empty(2 * n)
-            rhs[idx_u] = r[:n]
-            rhs[idx_v] = r[n:]
-            sol = solve_banded((2, 2), ab, rhs)
-            return np.concatenate([sol[idx_u], sol[idx_v]])
-
-        return solve_fn
-
-    if cfg.linear_solver == "dense-direct" or (
-            cfg.linear_solver == "sparse-direct" and n <= 4):
-        # Direct solve either way; LAPACK beats sparse machinery for a
-        # handful of cells (the companion ODE system is a single cell).
-        lap_dense = mesh.laplacian().toarray()
-
-        def solve_fn(z, r):
-            u, v = z[:n], z[n:]
-            rup = _rate_deriv_ext(kin.rate_u, u)
-            rvp = _rate_deriv_ext(kin.rate_v, v)
-            juu = np.diag(m) + dt * a * lap_dense + np.diag(dt * m * ah * rup)
-            jvv = np.diag(m) + dt * b * lap_dense + np.diag(dt * m * bh * rvp)
-            juv = np.diag(-dt * m * ah * rvp)
-            jvu = np.diag(-dt * m * bh * rup)
-            jac = np.block([[juu, juv], [jvu, jvv]])
-            return np.linalg.solve(jac, r)
-
-        return solve_fn
-
-    from scipy import sparse
-    from scipy.sparse.linalg import bicgstab, spsolve
-
-    lap = mesh.laplacian()
-    m_diag = sparse.diags(m)
-
-    def assemble(z):
+    def solve_fn(z, r):
+        # Interleaved ordering (u_0, v_0, u_1, v_1, ...) makes the
+        # Jacobian pentadiagonal; assemble it directly in banded form.
         u, v = z[:n], z[n:]
         rup = _rate_deriv_ext(kin.rate_u, u)
         rvp = _rate_deriv_ext(kin.rate_v, v)
-        juu = m_diag + dt * a * lap + sparse.diags(dt * m * ah * rup)
-        jvv = m_diag + dt * b * lap + sparse.diags(dt * m * bh * rvp)
-        juv = sparse.diags(-dt * m * ah * rvp)
-        jvu = sparse.diags(-dt * m * bh * rup)
-        return sparse.bmat([[juu, juv], [jvu, jvv]], format="csr")
-
-    if cfg.linear_solver == "conjugate-gradient-class":
-        def solve_fn(z, r):
-            jac = assemble(z)
-            precond = sparse.diags(1.0 / jac.diagonal())
-            sol, info = bicgstab(jac, r, rtol=cfg.linear_tol, atol=0.0,
-                                 M=precond, maxiter=20 * jac.shape[0])
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"Krylov linear solve failed (info={info})")
-            return sol
-
-        return solve_fn
-
-    def solve_fn(z, r):
-        return spsolve(assemble(z).tocsc(), r)
+        ab = np.zeros((5, 2 * n))
+        ab[2, idx_u] = m + dt * a * deg + dt * m * ah * rup
+        ab[2, idx_v] = m + dt * b * deg + dt * m * bh * rvp
+        ab[1, idx_v] = -dt * m * ah * rvp      # d res_u / d v, same cell
+        ab[3, idx_u] = -dt * m * bh * rup      # d res_v / d u, same cell
+        ab[0, idx_u[1:]] = -dt * a * t         # u coupling to next cell
+        ab[0, idx_v[1:]] = -dt * b * t
+        ab[4, idx_u[:-1]] = -dt * a * t
+        ab[4, idx_v[:-1]] = -dt * b * t
+        rhs = np.empty(2 * n)
+        rhs[idx_u] = r[:n]
+        rhs[idx_v] = r[n:]
+        sol = solve_banded((2, 2), ab, rhs)
+        return np.concatenate([sol[idx_u], sol[idx_v]])
 
     return solve_fn
 
@@ -345,8 +255,9 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
     chemical-equilibrium projection of the previous state, then falls back
     to a fixed-point iteration that freezes the opposite species' rate while
     solving each single-species implicit problem (still converging to the
-    fully coupled solution).  Raises NonConvergenceError when all fail and
-    ConsistencyError when a converged state breaks the scheme's bounds.
+    fully coupled solution).  Raises NonConvergenceError naming the step
+    and every attempt when all fail, and ConsistencyError when a converged
+    state breaks the scheme's bounds.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -361,7 +272,7 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
         return np.concatenate([ru, rv])
 
     norm_fn = _scaled_norm(mesh)
-    solve_fn = _make_solve_fn(mesh, kin, dt, cfg)
+    solve_fn = _make_solve_fn(mesh, kin, dt)
 
     guesses: list[tuple[str, np.ndarray]] = [("", z_prev)]
     if kin.rate_factor > 0:
@@ -370,20 +281,25 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
         v_eq = np.asarray(kin.v_from_u(u_eq), dtype=float)
         guesses.append(("equilibrium-guess", np.concatenate([u_eq, v_eq])))
 
-    result: NewtonResult | None = None
-    fallback = ""
-    for tag, z0 in guesses:
+    attempts = []
+    for fallback, z0 in guesses:
         result = damped_newton(z0, residual_fn, solve_fn, norm_fn,
                                tol=cfg.newton_tol,
                                max_iter=cfg.newton_max_iter,
                                linesearch=cfg.linesearch)
         if result.converged:
-            fallback = tag
             break
-    if result is None or not result.converged:
-        result = _splitting_fallback(mesh, kin, dt, prev, cfg,
-                                     residual_fn, norm_fn)
+        attempts.append((fallback or "previous-state", result.iterations,
+                         result.residual))
+    else:
         fallback = "splitting"
+        try:
+            result = _splitting_fallback(mesh, kin, dt, prev, cfg,
+                                         residual_fn, norm_fn)
+        except NonConvergenceError as exc:
+            attempts.append((f"splitting: {exc}", exc.iterations,
+                             exc.residual))
+            raise _step_failure("coupled", prev, dt, kin, attempts) from exc
 
     u_new, v_new = result.z[:n], result.z[n:]
     _check_step_bounds(kin, prev, u_new, v_new, cfg.newton_tol)
@@ -399,18 +315,11 @@ def _single_species_solve(mesh, dt, diff, coupling, law, x_prev, other_rate,
     """Implicit single-species problem with the opposite rate frozen:
     m (x - x_prev) + dt diff L x + dt m coupling (r(x) - other_rate) = 0."""
     from scipy.linalg import solve_banded
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
 
     m = mesh.volumes
     n = mesh.n_cells
     lap = mesh.laplacian()
-    chain = mesh.is_chain() and n >= 2
-    t = _chain_transmissibilities(mesh) if chain else None
-    if chain:
-        deg = np.zeros(n)
-        deg[:-1] += t
-        deg[1:] += t
+    off = -dt * diff * mesh.transmissibilities
 
     def residual_fn(x):
         return m * (x - x_prev) + dt * diff * (lap @ x) \
@@ -421,14 +330,11 @@ def _single_species_solve(mesh, dt, diff, coupling, law, x_prev, other_rate,
 
     def solve_fn(x, r):
         rp = _rate_deriv_ext(law, x)
-        if chain:
-            ab = np.zeros((3, n))
-            ab[1] = m + dt * diff * deg + dt * m * coupling * rp
-            ab[0, 1:] = -dt * diff * t
-            ab[2, :-1] = -dt * diff * t
-            return solve_banded((1, 1), ab, r)
-        jac = sparse.diags(m + dt * m * coupling * rp) + dt * diff * lap
-        return spsolve(jac.tocsc(), r)
+        ab = np.zeros((3, n))
+        ab[1] = m + dt * diff * mesh.deg + dt * m * coupling * rp
+        ab[0, 1:] = off
+        ab[2, :-1] = off
+        return solve_banded((1, 1), ab, r)
 
     result = damped_newton(x_prev, residual_fn, solve_fn, norm_fn,
                            tol=cfg.newton_tol, max_iter=cfg.newton_max_iter,
@@ -464,9 +370,25 @@ def _splitting_fallback(mesh, kin, dt, prev, cfg, residual_fn, norm_fn,
         if res <= cfg.newton_tol:
             return NewtonResult(z, total_iters, res, True)
     raise NonConvergenceError(
-        f"implicit step did not converge: Newton stalled and {max_sweeps} "
-        "splitting sweeps did not close the coupled residual",
+        f"{max_sweeps} sweeps did not close the coupled residual",
         iterations=max_sweeps, residual=res)
+
+
+def _step_failure(what: str, prev, dt: float, kin: Kinetics,
+                 attempts: list) -> NonConvergenceError:
+    """The error for an implicit step none of whose attempts converged.
+
+    ``attempts`` lists (guess, iterations, last scaled residual) in the
+    order tried; the error carries the last attempt's numbers.
+    """
+    tried = ", ".join(f"{tag} (residual {res!r} after {its} iterations)"
+                      for tag, its, res in attempts)
+    _, its, res = attempts[-1]
+    return NonConvergenceError(
+        f"{what} step to level {prev.level + 1} at t = {prev.time + dt!r} "
+        f"(dt = {dt!r}, k = {kin.rate_factor!r}) did not converge; "
+        f"tried {tried}",
+        iterations=its, residual=res)
 
 
 def _check_step_bounds(kin, prev, u_new, v_new, newton_tol):

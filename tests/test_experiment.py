@@ -84,6 +84,8 @@ def test_tabulated_initial_interpolates():
     (lambda r: r.__setitem__("output", {"levels": []}), "levels"),
     (lambda r: r.__setitem__("diagnostics", {"entropy": "yes"}), "entropy"),
     (lambda r: r.__setitem__("solver", {"newton_tol": -1.0}), "solver"),
+    (lambda r: r.__setitem__("solver", {"linear_solver": "dense-direct"}),
+     "linear_solver"),
 ])
 def test_validation_errors_name_the_field(mangle, needle):
     raw = tiny_config()
@@ -289,7 +291,10 @@ def test_cli_solver_failure_exit_code(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     proc = run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path / "out"))
     assert proc.returncode == 3
-    assert "solver error" in proc.stderr
+    assert "solver error: coupled step to level 1 at t = 1e-07" in proc.stderr
+    for part in ("dt = 1e-07", "k = 1.0", "previous-state (residual",
+                 "equilibrium-guess (residual", "splitting: "):
+        assert part in proc.stderr
 
 
 def test_cli_io_failure_exit_code(tmp_path):

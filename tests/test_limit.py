@@ -132,8 +132,15 @@ def test_step_w_reports_nonconvergence():
     rng = np.random.default_rng(3)
     prev = WState(w=rng.uniform(0.01, 1.0, 8), level=0, time=0.0)
     cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2, linesearch=False)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError) as info:
         step_w(mesh, kin, 1e9, prev, cfg)
+    msg = str(info.value)
+    for part in ("limit step to level 1", "t = 1000000000.0",
+                 "dt = 1000000000.0", "k = 1.0", "previous-state (residual",
+                 "mean-guess (residual"):
+        assert part in msg
+    assert info.value.residual == pytest.approx(
+        float(msg.rsplit("mean-guess (residual ", 1)[1].split()[0]))
 
 
 def test_write_w_csv(tmp_path):

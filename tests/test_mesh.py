@@ -3,7 +3,7 @@ import pytest
 
 from fvreact.mesh import (Mesh, build_time_grid_ramped,
                           build_time_grid_uniform, build_uniform_1d,
-                          validate_admissible, write_mesh_csv)
+                          write_mesh_csv)
 
 
 def test_uniform_1d_basic_geometry():
@@ -13,7 +13,7 @@ def test_uniform_1d_basic_geometry():
     assert np.allclose(mesh.volumes, 0.002)
     # transmissibility = face area / center distance = 1 / 0.002
     assert np.allclose(mesh.transmissibilities, 500.0)
-    assert np.allclose(mesh.centers[:, 0], 0.001 + 0.002 * np.arange(50))
+    assert np.allclose(mesh.x, 0.001 + 0.002 * np.arange(50))
     assert mesh.size == pytest.approx(0.002)
 
 
@@ -27,7 +27,7 @@ def test_uniform_1d_single_cell():
 def test_uniform_1d_quarter_spacing():
     mesh = build_uniform_1d(1.0, 4)
     assert np.allclose(mesh.volumes, 0.25)
-    assert np.allclose(mesh.face_distances, 0.25)
+    assert np.allclose(np.diff(mesh.x), 0.25)   # center distances
     assert np.allclose(mesh.transmissibilities, 4.0)
 
 
@@ -58,53 +58,28 @@ def test_laplacian_matches_face_double_sum():
     mesh = build_uniform_1d(2.0, 17)
     f = rng.uniform(-1, 1, size=17)
     lhs = float(f @ (mesh.laplacian() @ f))
-    ka = mesh.face_cells[:, 0]
-    lb = mesh.face_cells[:, 1]
-    rhs = float(np.sum(mesh.transmissibilities * (f[lb] - f[ka]) ** 2))
+    # face i joins cells i and i + 1
+    rhs = float(np.sum(mesh.transmissibilities * (f[1:] - f[:-1]) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_validate_admissible_clean_mesh():
-    assert validate_admissible(build_uniform_1d(0.1, 50)) == []
-
-
-def test_validate_admissible_flags_bad_transmissibility():
-    mesh = build_uniform_1d(1.0, 4)
-    t = mesh.transmissibilities.copy()
-    t[1] *= 1.5
-    bad = Mesh(dim=1, volumes=mesh.volumes, centers=mesh.centers,
-               face_cells=mesh.face_cells, face_areas=mesh.face_areas,
-               face_distances=mesh.face_distances, transmissibilities=t,
-               edges=mesh.edges)
-    violations = validate_admissible(bad)
-    assert len(violations) == 1
-    assert "face 1" in violations[0]
-
-
-def test_validate_admissible_flags_asymmetric_adjacency():
-    mesh = build_uniform_1d(1.0, 3)
-    adjacency = [list(row) for row in mesh.adjacency]
-    adjacency[0] = []  # cell 1 still lists cell 0
-    bad = Mesh(dim=1, volumes=mesh.volumes, centers=mesh.centers,
-               face_cells=mesh.face_cells, face_areas=mesh.face_areas,
-               face_distances=mesh.face_distances,
-               transmissibilities=mesh.transmissibilities,
-               adjacency=adjacency, edges=mesh.edges)
-    violations = validate_admissible(bad)
-    assert violations and any("adjacen" in v for v in violations)
+def test_laplacian_diagonal_is_deg():
+    mesh = build_uniform_1d(1.0, 5)
+    assert np.array_equal(mesh.laplacian().diagonal(), mesh.deg)
+    assert np.allclose(mesh.deg, [5.0, 10.0, 10.0, 10.0, 5.0])
+    assert np.array_equal(build_uniform_1d(1.0, 1).deg, [0.0])
 
 
 def test_mesh_rejects_inconsistent_shapes():
     mesh = build_uniform_1d(1.0, 4)
-    with pytest.raises(ValueError):
-        Mesh(dim=1, volumes=mesh.volumes[:-1], centers=mesh.centers,
-             face_cells=mesh.face_cells, face_areas=mesh.face_areas,
-             face_distances=mesh.face_distances,
-             transmissibilities=mesh.transmissibilities)
-    with pytest.raises(ValueError):
-        Mesh(dim=1, volumes=-mesh.volumes, centers=mesh.centers,
-             face_cells=mesh.face_cells, face_areas=mesh.face_areas,
-             face_distances=mesh.face_distances,
+    with pytest.raises(ValueError, match="edges"):
+        Mesh(edges=mesh.edges, volumes=mesh.volumes[:-1],
+             transmissibilities=mesh.transmissibilities[:-1])
+    with pytest.raises(ValueError, match="transmissibilities"):
+        Mesh(edges=mesh.edges, volumes=mesh.volumes,
+             transmissibilities=mesh.transmissibilities[:-1])
+    with pytest.raises(ValueError, match="measures"):
+        Mesh(edges=mesh.edges, volumes=-mesh.volumes,
              transmissibilities=mesh.transmissibilities)
 
 

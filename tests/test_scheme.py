@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fvreact import limit, scheme
 from fvreact.errors import ConsistencyError, NonConvergenceError
 from fvreact.kinetics import dimerisation_kinetics, power_law_kinetics
 from fvreact.mesh import (build_time_grid_uniform, build_uniform_1d)
@@ -139,21 +140,53 @@ def test_step_conserves_weighted_mass():
     assert mass_new == pytest.approx(mass, rel=1e-12)
 
 
-def test_step_dense_and_sparse_paths_agree():
-    mesh = build_uniform_1d(0.1, 12)
-    kin = dimer()
-    rng = np.random.default_rng(3)
-    prev = State(u=rng.uniform(0, 0.5, 12), v=rng.uniform(0, 0.25, 12),
-                 level=0, time=0.0)
-    new_s, _ = step(mesh, kin, 25.0, prev,
-                    SolverConfig(linear_solver="sparse-direct"))
-    new_d, _ = step(mesh, kin, 25.0, prev,
-                    SolverConfig(linear_solver="dense-direct"))
-    new_c, _ = step(mesh, kin, 25.0, prev,
-                    SolverConfig(linear_solver="cg", linear_tol=1e-14))
-    assert np.allclose(new_s.u, new_d.u, rtol=1e-10)
-    assert np.allclose(new_s.v, new_d.v, rtol=1e-10)
-    assert np.allclose(new_s.u, new_c.u, rtol=1e-8)
+def _fd_jacobian(fn, z, rel=1e-6):
+    """Central-difference Jacobian of fn at z, one column per unknown."""
+    cols = []
+    for j in range(z.size):
+        h = rel * max(1.0, abs(z[j]))
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        cols.append((fn(zp) - fn(zm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("n_cells", [1, 2, 12])
+def test_banded_correction_matches_fd_jacobian(n_cells, k):
+    # the banded Newton correction of the coupled step and of step_w equals
+    # a dense solve with a finite-difference Jacobian of the step residual
+    mesh = build_uniform_1d(0.1, n_cells)
+    kin = dimer(k=k)
+    dt = 1e3
+    rng = np.random.default_rng(n_cells)
+    prev = State(u=rng.uniform(0.05, 0.5, n_cells),
+                 v=rng.uniform(0.05, 0.25, n_cells), level=0, time=0.0)
+    z = np.concatenate([rng.uniform(0.05, 0.5, n_cells),
+                        rng.uniform(0.05, 0.25, n_cells)])
+    r = rng.uniform(-1.0, 1.0, 2 * n_cells)
+
+    def coupled(z):
+        guess = State(u=z[:n_cells], v=z[n_cells:], level=1, time=dt)
+        return np.concatenate(residual(mesh, kin, dt, prev, guess))
+
+    delta = scheme._make_solve_fn(mesh, kin, dt)(z, r)
+    expect = np.linalg.solve(_fd_jacobian(coupled, z), r)
+    assert np.allclose(delta, expect, rtol=1e-6,
+                       atol=1e-9 * np.max(np.abs(expect)))
+
+    w_prev = prev.u / kin.alpha + prev.v / kin.beta
+    w = z[:n_cells] / kin.alpha + z[n_cells:] / kin.beta
+    lap = mesh.laplacian()
+
+    def limit_residual(w):
+        return mesh.volumes * (w - w_prev) + dt * (lap @ kin.flux_potential(w))
+
+    delta_w = limit._make_solve_fn_w(mesh, kin, dt)(w, r[:n_cells])
+    expect_w = np.linalg.solve(_fd_jacobian(limit_residual, w), r[:n_cells])
+    assert np.allclose(delta_w, expect_w, rtol=1e-6,
+                       atol=1e-9 * np.max(np.abs(expect_w)))
 
 
 def test_step_reports_nonconvergence():
@@ -164,8 +197,15 @@ def test_step_reports_nonconvergence():
                  level=0, time=0.0)
     # an absurd tolerance is unreachable: every guess chain member fails
     cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2, linesearch=False)
-    with pytest.raises(NonConvergenceError):
+    prev = State(u=prev.u, v=prev.v, level=7, time=3.0)
+    with pytest.raises(NonConvergenceError) as info:
         step(mesh, kin, 1e4, prev, cfg)
+    msg = str(info.value)
+    for part in ("level 8", "t = 10003.0", "dt = 10000.0", "k = 1.0",
+                 "previous-state (residual", "equilibrium-guess (residual",
+                 "splitting: single-species sub-solve stalled (residual"):
+        assert part in msg
+    assert info.value.residual > 0 and info.value.iterations > 0
 
 
 def test_step_splitting_fallback_engages():
@@ -325,7 +365,8 @@ def test_energy_inequality_per_step_random_trials(k):
     rng = np.random.default_rng(31)
     mesh = build_uniform_1d(0.1, 16)
     kin = dimer(k=k)
-    ka, lb = mesh.face_cells[:, 0], mesh.face_cells[:, 1]
+    ka = np.arange(mesh.n_faces)   # face i joins cells i and i + 1
+    lb = ka + 1
     t = mesh.transmissibilities
     slack = 10 * SolverConfig().newton_tol
     for _ in range(10):
