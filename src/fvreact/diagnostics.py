@@ -117,16 +117,33 @@ def reaction_defect(mesh: Mesh, grid: TimeGrid, kin: Kinetics,
 # -- convex entropy ----------------------------------------------------------
 
 def _entropy_fn(law, weight: float, ref: float, quad_tol: float):
-    """Build V(s) = (1/weight) [ s ln(r(s)/r(ref)) + int_s^ref sigma r'(sigma)/r(sigma) d sigma ].
+    """Build the vectorized entropy density on s >= 0,
 
-    V is convex, nonnegative and vanishes at s = ref.  The integrand
-    sigma r'/r tends to a finite limit at 0 for power-like laws; values
-    below a floor are frozen there to dodge underflow in r.
+        V(s) = (1/weight) [ s ln(r(s)/r(ref)) + int_s^ref sigma r'(sigma)/r(sigma) d sigma ].
+
+    V is convex, nonnegative and vanishes at s = ref.  For a power law
+    r(s) = c s^p (``law.exponent`` set) the integrand is the constant p, so
+
+        V(s) = (p/weight) (s ln(s/ref) - s + ref),   V(0) = (p/weight) ref,
+
+    one array expression.  Only a rate law without an exponent has no closed
+    form: each value is then a ``quad`` integral to ``quad_tol``, with the
+    integrand frozen below a floor to dodge underflow in r.
     """
-    from scipy.integrate import quad
-
     if not ref > 0:
         raise ValueError("entropy reference value must be positive")
+    if law.exponent is not None:
+        scale = law.exponent / weight
+
+        def closed_form(s):
+            s = np.asarray(s, dtype=float)
+            # s ln(s/ref) -> 0 as s -> 0; the where keeps log(0) out
+            return scale * (s * np.log(np.where(s > 0, s, ref) / ref) - s + ref)
+
+        return closed_form
+
+    from scipy.integrate import quad
+
     floor = ref * 1e-10
     log_ref = float(np.log(law.value(np.asarray(ref, dtype=float))))
 
@@ -136,9 +153,6 @@ def _entropy_fn(law, weight: float, ref: float, quad_tol: float):
             / float(law.value(np.asarray(s, dtype=float)))
 
     def v_fn(s: float) -> float:
-        s = float(s)
-        if s < 0:
-            raise ValueError("entropy argument must be nonnegative")
         if s <= floor:
             log_term = 0.0  # s ln r(s) -> 0 as s -> 0
         else:
@@ -148,7 +162,7 @@ def _entropy_fn(law, weight: float, ref: float, quad_tol: float):
                            epsabs=quad_tol, epsrel=quad_tol, limit=200)
         return (log_term + integral) / weight
 
-    return v_fn
+    return np.vectorize(v_fn, otypes=[float])
 
 
 def _resolve_reference(mesh: Mesh, kin: Kinetics, state0: State,
@@ -170,39 +184,41 @@ def _resolve_reference(mesh: Mesh, kin: Kinetics, state0: State,
     return a, b
 
 
+def _entropy(mesh: Mesh, kin: Kinetics, ref: tuple[float, float],
+             quad_tol: float, u: np.ndarray, v: np.ndarray):
+    """sum_K m_K (V_u(u_K) + V_v(v_K)) along the last axis of u and v, with
+    negative concentrations clipped to 0.  Summed row by row (not a
+    matrix product), so one state gets the bits it gets inside a series."""
+    v_u = _entropy_fn(kin.rate_u, kin.alpha, ref[0], quad_tol)
+    v_v = _entropy_fn(kin.rate_v, kin.beta, ref[1], quad_tol)
+    density = v_u(np.maximum(u, 0.0)) + v_v(np.maximum(v, 0.0))
+    return np.sum(density * mesh.volumes, axis=-1)
+
+
 def lyapunov(mesh: Mesh, kin: Kinetics, state: State,
              reference=None, quad_tol: float = 1e-10) -> float:
     """Convex entropy sum_K m_K (V_u(u_K) + V_v(v_K)) relative to a
     rate-balanced reference pair (a, b).
 
     Defaults: a is the measure-weighted mean of the state's u, b balances
-    it.  The scheme never increases this functional.
+    it.  The scheme never increases this functional.  V is evaluated in
+    closed form for power-law rates and by ``quad`` to ``quad_tol`` only
+    for a rate law without an exponent (see ``_entropy_fn``).
     """
-    a, b = _resolve_reference(mesh, kin, state, reference)
-    v_u = _entropy_fn(kin.rate_u, kin.alpha, a, quad_tol)
-    v_v = _entropy_fn(kin.rate_v, kin.beta, b, quad_tol)
-    total = 0.0
-    for m, uk, vk in zip(mesh.volumes, state.u, state.v):
-        total += m * (v_u(max(uk, 0.0)) + v_v(max(vk, 0.0)))
-    return total
+    ref = _resolve_reference(mesh, kin, state, reference)
+    return float(_entropy(mesh, kin, ref, quad_tol, state.u, state.v))
 
 
 def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
                     reference=None, quad_tol: float = 1e-10) -> np.ndarray:
     """Entropy per recorded state, sharing one reference pair (resolved from
-    the first recorded state when not given, so the series is comparable)."""
+    the first recorded state when not given, so the series is comparable).
+    The whole trajectory is evaluated in one array expression."""
     if not traj.states:
         raise ValueError("empty trajectory")
     ref = _resolve_reference(mesh, kin, traj.states[0], reference)
-    v_u = _entropy_fn(kin.rate_u, kin.alpha, ref[0], quad_tol)
-    v_v = _entropy_fn(kin.rate_v, kin.beta, ref[1], quad_tol)
-    out = np.empty(len(traj.states))
-    for i, s in enumerate(traj.states):
-        total = 0.0
-        for m, uk, vk in zip(mesh.volumes, s.u, s.v):
-            total += m * (v_u(max(uk, 0.0)) + v_v(max(vk, 0.0)))
-        out[i] = total
-    return out
+    _, _, u, v = traj.arrays()
+    return _entropy(mesh, kin, ref, quad_tol, u, v)
 
 
 # -- distance to the fast-reaction limit ------------------------------------

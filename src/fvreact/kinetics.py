@@ -48,13 +48,16 @@ class RateLaw:
     supplied, is a closed-form inverse used to shortcut root finding;
     without it, inversion brackets the root and iterates.  ``domain_bound``
     is the upper end of the range on which validation samples monotonicity,
-    not an enforced limit.
+    not an enforced limit.  ``exponent`` describes a power law c s^p by its
+    p; it is not checked against ``value``, and it lets the entropy be
+    evaluated in closed form instead of by quadrature.
     """
 
     value: Callable
     deriv: Callable
     domain_bound: float = 1e6
     inverse: Callable | None = None
+    exponent: float | None = None
 
 
 def _check_rate_law(name: str, law: RateLaw) -> None:
@@ -327,12 +330,14 @@ def dimerisation_kinetics(k_forward: float, k_backward: float,
         deriv=lambda s: 2.0 * kf * s,
         domain_bound=domain_bound,
         inverse=lambda y: np.sqrt(y / kf),
+        exponent=2.0,
     )
     rate_v = RateLaw(
         value=lambda s: kb * s,
         deriv=lambda s: np.full_like(np.asarray(s, dtype=float), kb),
         domain_bound=domain_bound,
         inverse=lambda y: y / kb,
+        exponent=1.0,
     )
     return DimerisationKinetics(
         alpha=2.0, beta=1.0, diff_u=diff_u, diff_v=diff_v,
@@ -362,6 +367,7 @@ def power_law_kinetics(coeff_u: float, exp_u: float,
             deriv=lambda s: c * p * np.power(s, p - 1.0),
             domain_bound=domain_bound,
             inverse=lambda y: np.power(y / c, 1.0 / p),
+            exponent=p,
         )
 
     return Kinetics(alpha=alpha, beta=beta, diff_u=diff_u, diff_v=diff_v,

@@ -274,16 +274,20 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
     norm_fn = _scaled_norm(mesh)
     solve_fn = _make_solve_fn(mesh, kin, dt)
 
-    guesses: list[tuple[str, np.ndarray]] = [("", z_prev)]
-    if kin.rate_factor > 0:
+    def equilibrium_guess():
         w = np.maximum(prev.u / kin.alpha + prev.v / kin.beta, 0.0)
         u_eq = np.asarray(kin.u_from_w(w), dtype=float)
         v_eq = np.asarray(kin.v_from_u(u_eq), dtype=float)
-        guesses.append(("equilibrium-guess", np.concatenate([u_eq, v_eq])))
+        return np.concatenate([u_eq, v_eq])
+
+    # Each guess is built only when the attempts before it have failed.
+    guesses = [("", lambda: z_prev)]
+    if kin.rate_factor > 0:
+        guesses.append(("equilibrium-guess", equilibrium_guess))
 
     attempts = []
-    for fallback, z0 in guesses:
-        result = damped_newton(z0, residual_fn, solve_fn, norm_fn,
+    for fallback, make_guess in guesses:
+        result = damped_newton(make_guess(), residual_fn, solve_fn, norm_fn,
                                tol=cfg.newton_tol,
                                max_iter=cfg.newton_max_iter,
                                linesearch=cfg.linesearch)

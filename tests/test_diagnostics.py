@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from fvreact.diagnostics import (DiagnosticsReport, compare_to_limit,
                                  gradient_energy, l1_distance, lyapunov,
                                  lyapunov_series, reaction_defect,
                                  translate_seminorms)
-from fvreact.kinetics import dimerisation_kinetics, power_law_kinetics
+from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
+                              power_law_kinetics)
 from fvreact.limit import WState, WTrajectory, integrate_w, project_initial_w
 from fvreact.mesh import (TimeGrid, build_time_grid_uniform,
                           build_uniform_1d)
@@ -187,6 +190,39 @@ def test_lyapunov_series_nonincreasing_along_scheme():
     assert len(lam) == 26
     assert np.all(np.diff(lam) <= 1e-12)
     assert lam[0] > lam[-1]
+
+
+def _without_exponents(kin):
+    # same lambdas, no exponent: the entropy falls back to quad
+    return Kinetics(alpha=kin.alpha, beta=kin.beta, diff_u=kin.diff_u,
+                    diff_v=kin.diff_v,
+                    rate_u=replace(kin.rate_u, exponent=None),
+                    rate_v=replace(kin.rate_v, exponent=None),
+                    rate_factor=kin.rate_factor)
+
+
+@pytest.mark.parametrize("kin", [
+    dimer(),
+    power_law_kinetics(2.0, 3.0, 0.5, 1.5, alpha=3.0, beta=0.5,
+                       diff_u=1.0, diff_v=2.0),
+], ids=["dimerisation", "power-law"])
+def test_lyapunov_closed_form_matches_quad(kin):
+    twin = _without_exponents(kin)
+    assert kin.rate_u.exponent is not None and kin.rate_v.exponent is not None
+    mesh = build_uniform_1d(1.0, 8)
+    grid = build_time_grid_uniform(0.5, 5)
+    init = project_initial(mesh, lambda x: 0.3 + 0.2 * np.sin(6 * x),
+                           lambda x: 0.1 + 0.05 * x)
+    traj = integrate(mesh, kin, grid, init)
+    zeros = State(u=np.where(np.arange(8) % 2, 0.0, 0.4),
+                  v=np.where(np.arange(8) % 3, 0.2, 0.0), level=6, time=0.6)
+    traj = Trajectory(states=traj.states + [zeros], stats=traj.stats)
+    ref = (0.3, float(kin.v_from_u(0.3)))
+    closed = lyapunov_series(mesh, kin, traj, reference=ref)
+    assert np.allclose(lyapunov_series(mesh, twin, traj, reference=ref),
+                       closed, rtol=1e-8, atol=0.0)
+    for i, s in enumerate(traj.states):
+        assert lyapunov(mesh, kin, s, reference=ref) == closed[i]
 
 
 # -- limit comparison -------------------------------------------------------------

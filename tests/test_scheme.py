@@ -3,7 +3,8 @@ import pytest
 
 from fvreact import limit, scheme
 from fvreact.errors import ConsistencyError, NonConvergenceError
-from fvreact.kinetics import dimerisation_kinetics, power_law_kinetics
+from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
+                              power_law_kinetics)
 from fvreact.mesh import (build_time_grid_uniform, build_uniform_1d)
 from fvreact.scheme import (SolverConfig, State, integrate,
                             ode_upper_solution, project_initial, residual,
@@ -206,6 +207,24 @@ def test_step_reports_nonconvergence():
                  "splitting: single-species sub-solve stalled (residual"):
         assert part in msg
     assert info.value.residual > 0 and info.value.iterations > 0
+
+
+def test_step_builds_equilibrium_guess_only_when_tried(monkeypatch):
+    # a step that converges from the previous state never needs the
+    # equilibrium guess, so it must not pay for the u_from_w inversion
+    mesh = build_uniform_1d(0.1, 8)
+    kin = dimer()
+    rng = np.random.default_rng(5)
+    prev = State(u=rng.uniform(0, 0.5, 8), v=rng.uniform(0, 0.25, 8),
+                 level=0, time=0.0)
+    calls = []
+    u_from_w = Kinetics.u_from_w
+    monkeypatch.setattr(Kinetics, "u_from_w",
+                        lambda self, *a, **kw: calls.append(1)
+                        or u_from_w(self, *a, **kw))
+    _, stats = step(mesh, kin, 10.0, prev)
+    assert stats.fallback == ""
+    assert calls == []
 
 
 def test_step_splitting_fallback_engages():
