@@ -6,7 +6,8 @@ Where the gap closes, v is a function of u (``v_from_u``), the conserved
 combination w = u/alpha + v/beta is an increasing function of u
 (``w_from_u``), and the whole equilibrium state is recoverable from w alone
 (``u_from_w``, ``v_from_w``).  The effective nonlinear diffusion flux of the
-fast-reaction regime is packaged as ``flux_potential``.
+fast-reaction regime is packaged as ``flux_potential``; its slope comes
+with it from the same inversion in ``flux_potential_and_deriv``.
 
 Rate laws are supplied as paired value/derivative callables plus a declared
 domain bound; construction samples monotonicity on a log-spaced grid up to
@@ -217,7 +218,9 @@ class Kinetics:
         """Invert w_from_u on w >= 0 by safeguarded Newton/bisection.
 
         The bracket [0, alpha * w] is valid a priori because
-        w_from_u(alpha * w) >= w.
+        w_from_u(alpha * w) >= w.  Each inner iterate evaluates v_from_u
+        once: ``invert_monotone`` asks for the slope at the iterate whose
+        value it has just computed, so the slope reuses that v.
         """
         w_arr, scalar = _as_array(w)
         if np.any(w_arr < 0):
@@ -225,17 +228,23 @@ class Kinetics:
         if w_arr.size == 0:
             return w_arr.copy()
         hi = self.alpha * w_arr * (1.0 + 1e-12) + 1e-300
-        out = invert_monotone(
-            lambda s: self.w_from_u(s), lambda s: self._w_from_u_deriv_arr(s),
-            w_arr, 0.0, hi, tol=tol)
-        return out.item() if scalar else out
+        seen = [None, None]  # the last iterate handed to f, and v there
 
-    def _w_from_u_deriv_arr(self, u):
-        v = np.asarray(self.v_from_u(u), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ep = (np.asarray(self.rate_u.deriv(u), dtype=float)
-                  / np.asarray(self.rate_v.deriv(v), dtype=float))
-        return 1.0 / self.alpha + ep / self.beta
+        def f(s):
+            v = np.asarray(self.v_from_u(s), dtype=float)
+            seen[:] = s, v
+            return s / self.alpha + v / self.beta
+
+        def df(s):
+            v = seen[1] if s is seen[0] \
+                else np.asarray(self.v_from_u(s), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ep = (np.asarray(self.rate_u.deriv(s), dtype=float)
+                      / np.asarray(self.rate_v.deriv(v), dtype=float))
+            return 1.0 / self.alpha + ep / self.beta
+
+        out = invert_monotone(f, df, w_arr, 0.0, hi, tol=tol)
+        return out.item() if scalar else out
 
     def v_from_w(self, w, tol: float = TOL_INV):
         """Equilibrium v recovered from the conserved variable."""
@@ -244,39 +253,50 @@ class Kinetics:
             self.v_from_u(self.u_from_w(w_arr, tol=tol), tol=tol), dtype=float)
         return out.item() if scalar else out
 
+    def _flux_state(self, w_arr: np.ndarray, tol: float):
+        """Equilibrium (u, v) of w_arr and the flux potential there."""
+        u = np.asarray(self.u_from_w(w_arr, tol=tol), dtype=float)
+        v = np.asarray(self.v_from_u(u, tol=tol), dtype=float)
+        return u, v, (self.diff_u / self.alpha) * u + (self.diff_v / self.beta) * v
+
     def flux_potential(self, w, tol: float = TOL_INV):
         """Nonlinear diffusion flux potential of the fast-reaction regime:
         (diff_u/alpha) u + (diff_v/beta) v evaluated on the equilibrium
         state with conserved variable w."""
         w_arr, scalar = _as_array(w)
-        u = np.asarray(self.u_from_w(w_arr, tol=tol), dtype=float)
-        out = (self.diff_u / self.alpha) * u + (self.diff_v / self.beta) \
-            * np.asarray(self.v_from_u(u, tol=tol), dtype=float)
+        out = self._flux_state(w_arr, tol)[2]
         return out.item() if scalar else out
 
     def flux_potential_deriv(self, w, tol: float = TOL_INV):
-        """d(flux_potential)/dw via the chain rule.
+        """d(flux_potential)/dw; see ``flux_potential_and_deriv``."""
+        return self.flux_potential_and_deriv(w, tol)[1]
 
-        Written with both rate derivatives in numerator and denominator so
-        an infinite slope of v_from_u cancels instead of overflowing:
+    def flux_potential_and_deriv(self, w, tol: float = TOL_INV):
+        """The flux potential phi(w) and its slope phi'(w) from one
+        equilibrium inversion (one ``u_from_w`` and one ``v_from_u``).
+
+        The slope is the chain rule, written with both rate derivatives in
+        numerator and denominator so an infinite slope of v_from_u cancels
+        instead of overflowing:
         phi' = (diff_u/alpha r_v' + diff_v/beta r_u')
              / (r_v'/alpha + r_u'/beta).
         Falls back to a one-sided difference where both derivatives vanish.
         """
         w_arr, scalar = _as_array(w)
-        u = np.asarray(self.u_from_w(w_arr, tol=tol), dtype=float)
-        v = np.asarray(self.v_from_u(u, tol=tol), dtype=float)
+        u, v, phi = self._flux_state(w_arr, tol)
         rup = np.asarray(self.rate_u.deriv(u), dtype=float)
         rvp = np.asarray(self.rate_v.deriv(v), dtype=float)
         num = (self.diff_u / self.alpha) * rvp + (self.diff_v / self.beta) * rup
         den = rvp / self.alpha + rup / self.beta
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        degenerate = ~np.isfinite(out)
+            phip = num / den
+        degenerate = ~np.isfinite(phip)
         if np.any(degenerate):
-            out = np.where(degenerate,
-                           self.flux_potential_deriv_fd(w_arr), out)
-        return out.item() if scalar else out
+            phip = np.where(degenerate,
+                            self.flux_potential_deriv_fd(w_arr), phip)
+        if scalar:
+            return phi.item(), phip.item()
+        return phi, phip
 
     def flux_potential_deriv_fd(self, w, rel_step: float = 1e-7):
         """One-sided finite-difference flux potential slope (cross-check)."""

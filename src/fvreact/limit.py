@@ -7,9 +7,11 @@ nonlinear diffusion.  Each implicit step solves
     m_K (w_K - w_K^prev) + dt sum_L T (phi(w_K) - phi(w_L)) = 0
 
 with phi the kinetics' flux potential.  Newton corrections use the analytic
-chain-rule slope of phi.  The scheme conserves sum_K m_K w_K exactly and
-obeys a discrete maximum principle; both are enforced as post-conditions
-within numerical slack.
+chain-rule slope of phi.  One equilibrium inversion per Newton iterate
+serves both: the residual evaluates phi and phi' together, and the
+correction at that iterate reuses its phi'.  The scheme conserves
+sum_K m_K w_K exactly and obeys a discrete maximum principle; both are
+enforced as post-conditions within numerical slack.
 
 phi is evaluated through its odd extension (phi(-s) := -phi(s)) so line
 searches survive transiently negative iterates.
@@ -17,7 +19,6 @@ searches survive transiently negative iterates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,8 @@ from ._newton import damped_newton
 from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
-from .scheme import SolverConfig, StepStats, _cell_averages, _step_failure
+from .scheme import (SolverConfig, StepStats, _cell_averages, _step_failure,
+                     _write_cell_csv)
 
 __all__ = [
     "WState",
@@ -96,21 +98,15 @@ def project_initial_w(mesh: Mesh, kin: Kinetics, u0, v0,
     return WState(w=u / kin.alpha + v / kin.beta, level=0, time=0.0)
 
 
-def _phi_ext(kin: Kinetics, w: np.ndarray) -> np.ndarray:
-    return np.sign(w) * np.asarray(kin.flux_potential(np.abs(w)), dtype=float)
-
-
-def _phi_deriv_ext(kin: Kinetics, w: np.ndarray) -> np.ndarray:
-    return np.asarray(kin.flux_potential_deriv(np.abs(w)), dtype=float)
-
-
 def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
            cfg: SolverConfig | None = None) -> tuple[WState, StepStats]:
     """Advance the conserved variable one implicit step.
 
     Tries damped Newton from the previous state, then from the mass-weighted
-    mean; raises NonConvergenceError naming the step and both attempts when
-    neither converges.
+    mean.  Each residual evaluation inverts the equilibrium map once and
+    keeps phi' for the correction at the same iterate.  Raises
+    NonConvergenceError naming the step and both attempts when neither
+    converges.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -122,13 +118,17 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     n = mesh.n_cells
     lap = mesh.laplacian()
 
+    last = {}
+
     def residual_fn(w):
-        return m * (w - prev.w) + dt * (lap @ _phi_ext(kin, w))
+        phi, phip = kin.flux_potential_and_deriv(np.abs(w))
+        last["w"], last["phip"] = w, phip
+        return m * (w - prev.w) + dt * (lap @ (np.sign(w) * phi))
 
     def norm_fn(w, r):
         return float(np.max(np.abs(r) / (m * np.maximum(1.0, np.abs(w)))))
 
-    solve_fn = _make_solve_fn_w(mesh, kin, dt)
+    solve_fn = _make_solve_fn_w(mesh, kin, dt, last)
 
     mean = float(np.sum(m * prev.w) / np.sum(m))
     guesses = [("", prev.w), ("mean-guess", np.full(n, mean))]
@@ -160,7 +160,14 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     return state, stats
 
 
-def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float):
+def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float,
+                     last: dict | None = None):
+    """Banded Newton correction of step_w's residual at w.
+
+    ``last`` holds the iterate whose residual was evaluated last (key "w")
+    and phi' there ("phip").  damped_newton solves only at that iterate, so
+    a call on the same array reuses phi'; any other array is inverted anew.
+    """
     from scipy.linalg import solve_banded
 
     m = mesh.volumes
@@ -168,7 +175,10 @@ def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float):
     deg = mesh.deg
 
     def solve_fn(w, r):
-        phip = _phi_deriv_ext(kin, w)
+        if last is not None and last.get("w") is w:
+            phip = last["phip"]
+        else:
+            phip = kin.flux_potential_deriv(np.abs(w))
         ab = np.zeros((3, mesh.n_cells))
         ab[1] = m + dt * deg * phip
         ab[0, 1:] = -dt * t * phip[1:]
@@ -207,11 +217,4 @@ def integrate_w(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: WState,
 
 def write_w_csv(mesh: Mesh, traj: WTrajectory, path) -> None:
     """Write recorded states as rows (level, t, cell_id, x, w)."""
-    x = mesh.x
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "t", "cell_id", "x", "w"])
-        for s in traj.states:
-            for k in range(s.n_cells):
-                writer.writerow([s.level, repr(float(s.time)), k, repr(float(x[k])),
-                                 repr(float(s.w[k]))])
+    _write_cell_csv(mesh, traj.states, ("w",), path)

@@ -487,14 +487,28 @@ def ode_upper_solution(kin: Kinetics, grid: TimeGrid, u_bound: float,
 
 def write_trajectory_csv(mesh: Mesh, traj: Trajectory, path) -> None:
     """Write recorded states as rows (level, t, cell_id, x, u, v)."""
-    x = mesh.x
+    _write_cell_csv(mesh, traj.states, ("u", "v"), path)
+
+
+def _write_cell_csv(mesh: Mesh, states, names, path) -> None:
+    """Write one row (level, t, cell_id, x, *names) per state and cell; each
+    name is also the state attribute that holds that column.
+
+    The bytes are those ``csv.writer`` writes for the same rows of repr'd
+    floats: no field needs quoting, and rows end in its default "\r\n".
+    Each state goes out as one string, and the cell_id,x prefixes are
+    formatted once per file.
+    """
+    cells = [f"{k},{xk!r}" for k, xk in enumerate(mesh.x.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "t", "cell_id", "x", "u", "v"])
-        for s in traj.states:
-            for k in range(s.n_cells):
-                writer.writerow([s.level, repr(float(s.time)), k, repr(float(x[k])),
-                                 repr(float(s.u[k])), repr(float(s.v[k]))])
+        fh.write(",".join(("level", "t", "cell_id", "x", *names)) + "\r\n")
+        for s in states:
+            head = f"{s.level},{float(s.time)!r},"
+            fields = [[head + c for c in cells]]
+            fields += [list(map(repr, getattr(s, name).tolist()))
+                       for name in names]
+            fh.write("".join([row + "\r\n"
+                              for row in map(",".join, zip(*fields))]))
 
 
 def write_stats_csv(traj: Trajectory, path) -> None:

@@ -126,6 +126,55 @@ def test_invert_monotone_needs_bracket():
                         hi=np.array([1.0]), tol=1e-12)
 
 
+def _plaw():
+    return power_law_kinetics(2.0, 3.0, 0.5, 1.5, alpha=3.0, beta=0.5,
+                              diff_u=DIFF_U, diff_v=DIFF_V)
+
+
+W_SAMPLES = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 61)])
+BOTH_KINETICS = pytest.mark.parametrize("make", [
+    lambda: dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V), _plaw],
+    ids=["dimerisation", "power-law"])
+
+
+@BOTH_KINETICS
+def test_u_from_w_matches_plain_inversion(make):
+    # sharing v_from_u between value and slope must not move a bit of the
+    # root: same iterates as inverting w_from_u with the chain-rule slope
+    kin = make()
+    w = W_SAMPLES
+    hi = kin.alpha * w * (1.0 + 1e-12) + 1e-300
+    plain = invert_monotone(
+        kin.w_from_u,
+        lambda s: 1.0 / kin.alpha + kin.v_from_u_deriv(s) / kin.beta,
+        w, 0.0, hi)
+    assert np.array_equal(kin.u_from_w(w), plain)
+
+
+@BOTH_KINETICS
+def test_flux_potential_pair_matches_chain_rule(make):
+    # phi and phi' from one inversion equal the formulas evaluated from
+    # u_from_w and v_from_u, bit for bit, and so do the two one-sided views;
+    # at w = 0 both power-law rate slopes underflow to 0 and the slope is
+    # the one-sided difference
+    kin = make()
+    w = W_SAMPLES
+    u = kin.u_from_w(w)
+    v = kin.v_from_u(u)
+    phi = (kin.diff_u / kin.alpha) * u + (kin.diff_v / kin.beta) * v
+    rup, rvp = kin.rate_u.deriv(u), kin.rate_v.deriv(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phip = (((kin.diff_u / kin.alpha) * rvp + (kin.diff_v / kin.beta) * rup)
+                / (rvp / kin.alpha + rup / kin.beta))
+    degenerate = ~np.isfinite(phip)
+    phip[degenerate] = kin.flux_potential_deriv_fd(w[degenerate])
+    pair = kin.flux_potential_and_deriv(w)
+    assert np.array_equal(pair[0], phi) and np.array_equal(pair[1], phip)
+    assert np.array_equal(kin.flux_potential(w), phi)
+    assert np.array_equal(kin.flux_potential_deriv(w), phip)
+    assert kin.flux_potential_and_deriv(float(w[7])) == (phi[7], phip[7])
+
+
 def test_power_law_rejects_sublinear_exponent():
     with pytest.raises(ValueError):
         power_law_kinetics(1.0, 0.5, 1.0, 1.0, alpha=1.0, beta=1.0,

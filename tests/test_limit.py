@@ -1,12 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
+from fvreact import limit
 from fvreact.errors import NonConvergenceError
-from fvreact.kinetics import dimerisation_kinetics, power_law_kinetics
+from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
+                              power_law_kinetics)
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
-from fvreact.limit import (WState, integrate_w, project_initial_w, step_w,
-                           write_w_csv)
-from fvreact.scheme import SolverConfig, integrate, project_initial
+from fvreact.limit import (WState, WTrajectory, integrate_w,
+                           project_initial_w, step_w, write_w_csv)
+from fvreact.scheme import (State, SolverConfig, Trajectory, integrate,
+                            project_initial, write_trajectory_csv)
 
 K1 = 1.072e-4
 K2 = 2.363e-6
@@ -156,3 +161,63 @@ def test_write_w_csv(tmp_path):
     assert lines[0] == "level,t,cell_id,x,w"
     assert len(lines) == 1 + 3 * 3
     assert float(lines[1].split(",")[4]) == pytest.approx(winit.w[0])
+
+
+def test_step_w_inverts_once_per_residual(monkeypatch):
+    # the correction at an iterate reuses the phi' its residual computed,
+    # so a step inverts the equilibrium map once per residual evaluation
+    mesh = build_uniform_1d(0.1, 16)
+    kin = dimer()
+    rng = np.random.default_rng(3)
+    prev = WState(w=rng.uniform(0.05, 0.5, 16), level=0, time=0.0)
+    inversions, residuals, solves = [], [], []
+    u_from_w = Kinetics.u_from_w
+    monkeypatch.setattr(Kinetics, "u_from_w",
+                        lambda self, *a, **kw: inversions.append(1)
+                        or u_from_w(self, *a, **kw))
+    damped_newton = limit.damped_newton
+
+    def counting_newton(z0, residual_fn, solve_fn, *args, **kwargs):
+        return damped_newton(
+            z0, lambda z: residuals.append(1) or residual_fn(z),
+            lambda z, r: solves.append(1) or solve_fn(z, r), *args, **kwargs)
+
+    monkeypatch.setattr(limit, "damped_newton", counting_newton)
+    _, stats = step_w(mesh, kin, 1e3, prev)
+    assert stats.fallback == "" and solves
+    assert len(inversions) == len(residuals)
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_trajectory_writers_match_csv_writer(tmp_path):
+    # the writers format rows themselves; their bytes must equal those of
+    # csv.writer on the same rows of repr'd floats, for awkward floats too
+    mesh = build_uniform_1d(0.3, 5)
+    a = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0])
+    b = np.array([2.0, 0.0, 1e-300, 7.0, 0.1 + 0.2])
+    times = [0.0, 0.1 + 0.2, 1e12]
+    traj = Trajectory(states=[State(u=np.roll(a, i), v=np.roll(b, i),
+                                    level=i, time=t)
+                              for i, t in enumerate(times)])
+    wtraj = WTrajectory(states=[WState(w=np.roll(a, i), level=i, time=t)
+                                for i, t in enumerate(times)])
+    x = mesh.x
+    rows = [[s.level, repr(float(s.time)), k, repr(float(x[k])),
+             repr(float(s.u[k])), repr(float(s.v[k]))]
+            for s in traj.states for k in range(s.n_cells)]
+    write_trajectory_csv(mesh, traj, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["level", "t", "cell_id", "x", "u", "v"], rows)
+    rows = [[s.level, repr(float(s.time)), k, repr(float(x[k])),
+             repr(float(s.w[k]))]
+            for s in wtraj.states for k in range(s.n_cells)]
+    write_w_csv(mesh, wtraj, tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["level", "t", "cell_id", "x", "w"], rows)
