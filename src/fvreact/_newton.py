@@ -21,18 +21,14 @@ def damped_newton(z0: np.ndarray,
                   solve_fn: Callable,
                   norm_fn: Callable,
                   tol: float,
-                  max_iter: int,
-                  linesearch: bool = True,
-                  polish: int = 2) -> NewtonResult:
+                  max_iter: int) -> NewtonResult:
     """Newton iteration with backtracking damping and residual polish.
 
     ``solve_fn(z, r)`` returns the Newton correction ``delta`` with
     J(z) delta = r; ``norm_fn(z, r)`` the scaled residual max-norm.
-    A correction that fails to reduce the norm is halved up to 12 times
-    (skipped when ``linesearch`` is off: the full step is then taken
-    unconditionally).
+    A correction that fails to reduce the norm is halved up to 12 times.
 
-    After the tolerance is met, up to ``polish`` extra full steps are taken
+    After the tolerance is met, up to two extra full steps are taken
     while each halves the residual or better.  Downstream telescoped sums
     (mass balances over hundreds of steps) rely on converged residuals
     sitting at their floating-point floor rather than just under ``tol``.
@@ -55,10 +51,8 @@ def damped_newton(z0: np.ndarray,
             z_try = z - lam * delta
             r_try = residual_fn(z_try)
             res_try = float(norm_fn(z_try, r_try))
-            if np.isfinite(res_try) and (res_try < res or not linesearch):
+            if np.isfinite(res_try) and res_try < res:
                 z, r, res, accepted = z_try, r_try, res_try, True
-                break
-            if not linesearch:
                 break
             lam *= 0.5
         iters += 1
@@ -67,7 +61,7 @@ def damped_newton(z0: np.ndarray,
         converged = res <= tol
 
     if converged:
-        for _ in range(max(0, polish)):
+        for _ in range(2):
             try:
                 delta = solve_fn(z, r)
             except np.linalg.LinAlgError:

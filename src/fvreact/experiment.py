@@ -191,7 +191,7 @@ class ExperimentConfig:
         _validate_initial(init_d)
 
         solver_d = _section(raw, "solver",
-                            {"newton_tol", "newton_max_iter", "linesearch"}) \
+                            {"newton_tol", "newton_max_iter"}) \
             if "solver" in raw else {}
         try:
             solver = SolverConfig(**solver_d)
@@ -265,7 +265,6 @@ class ExperimentConfig:
             "solver": {
                 "newton_tol": self.solver.newton_tol,
                 "newton_max_iter": self.solver.newton_max_iter,
-                "linesearch": self.solver.linesearch,
             },
             "quadrature_points": self.quadrature_points,
             "output": {"levels": "all" if self.output_levels is None

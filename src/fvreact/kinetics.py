@@ -227,7 +227,7 @@ class Kinetics:
             raise ValueError("u_from_w requires w >= 0")
         if w_arr.size == 0:
             return w_arr.copy()
-        hi = self.alpha * w_arr * (1.0 + 1e-12) + 1e-300
+        hi = self.alpha * w_arr * (1.0 + 1e-12)
         seen = [None, None]  # the last iterate handed to f, and v there
 
         def f(s):

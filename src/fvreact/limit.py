@@ -136,8 +136,7 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     for fallback, w0 in guesses:
         result = damped_newton(w0, residual_fn, solve_fn, norm_fn,
                                tol=cfg.newton_tol,
-                               max_iter=cfg.newton_max_iter,
-                               linesearch=cfg.linesearch)
+                               max_iter=cfg.newton_max_iter)
         if result.converged:
             break
         attempts.append((fallback or "previous-state", result.iterations,

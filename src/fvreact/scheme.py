@@ -21,11 +21,11 @@ states are still required to be nonnegative within slack.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton import NewtonResult, damped_newton
+from ._newton import damped_newton
 from .errors import ConsistencyError, NonConvergenceError
 from .kinetics import Kinetics, RateLaw
 from .mesh import Mesh, TimeGrid, build_uniform_1d
@@ -74,7 +74,6 @@ class SolverConfig:
 
     newton_tol: float = 1e-12
     newton_max_iter: int = 40
-    linesearch: bool = True
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -89,7 +88,7 @@ class StepStats:
     dt: float
     newton_iterations: int
     residual: float         # final scaled residual (max norm)
-    fallback: str = ""      # "", "equilibrium-guess" or "splitting"
+    fallback: str = ""      # "" or, for limit steps, "mean-guess"
 
 
 @dataclass(eq=False)
@@ -251,13 +250,10 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
          cfg: SolverConfig | None = None) -> tuple[State, StepStats]:
     """Advance one implicit step; returns the new state and solve statistics.
 
-    Tries damped Newton from the previous state, then from the
-    chemical-equilibrium projection of the previous state, then falls back
-    to a fixed-point iteration that freezes the opposite species' rate while
-    solving each single-species implicit problem (still converging to the
-    fully coupled solution).  Raises NonConvergenceError naming the step
-    and every attempt when all fail, and ConsistencyError when a converged
-    state breaks the scheme's bounds.
+    Runs damped Newton on the fully coupled system once, from the previous
+    state.  Raises NonConvergenceError naming the step and that attempt
+    when it does not converge, and ConsistencyError when a converged state
+    breaks the scheme's bounds.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -265,117 +261,25 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
         raise ValueError("dt must be nonnegative")
     _check_shapes(mesh, prev, prev)
     n = mesh.n_cells
-    z_prev = np.concatenate([prev.u, prev.v])
 
     def residual_fn(z):
         ru, rv = _residual_uv(mesh, kin, dt, prev.u, prev.v, z[:n], z[n:])
         return np.concatenate([ru, rv])
 
-    norm_fn = _scaled_norm(mesh)
-    solve_fn = _make_solve_fn(mesh, kin, dt)
-
-    def equilibrium_guess():
-        w = np.maximum(prev.u / kin.alpha + prev.v / kin.beta, 0.0)
-        u_eq = np.asarray(kin.u_from_w(w), dtype=float)
-        v_eq = np.asarray(kin.v_from_u(u_eq), dtype=float)
-        return np.concatenate([u_eq, v_eq])
-
-    # Each guess is built only when the attempts before it have failed.
-    guesses = [("", lambda: z_prev)]
-    if kin.rate_factor > 0:
-        guesses.append(("equilibrium-guess", equilibrium_guess))
-
-    attempts = []
-    for fallback, make_guess in guesses:
-        result = damped_newton(make_guess(), residual_fn, solve_fn, norm_fn,
-                               tol=cfg.newton_tol,
-                               max_iter=cfg.newton_max_iter,
-                               linesearch=cfg.linesearch)
-        if result.converged:
-            break
-        attempts.append((fallback or "previous-state", result.iterations,
-                         result.residual))
-    else:
-        fallback = "splitting"
-        try:
-            result = _splitting_fallback(mesh, kin, dt, prev, cfg,
-                                         residual_fn, norm_fn)
-        except NonConvergenceError as exc:
-            attempts.append((f"splitting: {exc}", exc.iterations,
-                             exc.residual))
-            raise _step_failure("coupled", prev, dt, kin, attempts) from exc
+    result = damped_newton(np.concatenate([prev.u, prev.v]), residual_fn,
+                           _make_solve_fn(mesh, kin, dt), _scaled_norm(mesh),
+                           tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    if not result.converged:
+        raise _step_failure("coupled", prev, dt, kin, [
+            ("previous-state", result.iterations, result.residual)])
 
     u_new, v_new = result.z[:n], result.z[n:]
     _check_step_bounds(kin, prev, u_new, v_new, cfg.newton_tol)
     state = State(u=u_new, v=v_new, level=prev.level + 1, time=prev.time + dt)
     stats = StepStats(level=state.level, dt=dt,
                       newton_iterations=result.iterations,
-                      residual=result.residual, fallback=fallback)
+                      residual=result.residual)
     return state, stats
-
-
-def _single_species_solve(mesh, dt, diff, coupling, law, x_prev, other_rate,
-                          cfg):
-    """Implicit single-species problem with the opposite rate frozen:
-    m (x - x_prev) + dt diff L x + dt m coupling (r(x) - other_rate) = 0."""
-    from scipy.linalg import solve_banded
-
-    m = mesh.volumes
-    n = mesh.n_cells
-    lap = mesh.laplacian()
-    off = -dt * diff * mesh.transmissibilities
-
-    def residual_fn(x):
-        return m * (x - x_prev) + dt * diff * (lap @ x) \
-            + dt * m * coupling * (_rate_ext(law, x) - other_rate)
-
-    def norm_fn(x, r):
-        return float(np.max(np.abs(r) / (m * np.maximum(1.0, np.abs(x)))))
-
-    def solve_fn(x, r):
-        rp = _rate_deriv_ext(law, x)
-        ab = np.zeros((3, n))
-        ab[1] = m + dt * diff * mesh.deg + dt * m * coupling * rp
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        return solve_banded((1, 1), ab, r)
-
-    result = damped_newton(x_prev, residual_fn, solve_fn, norm_fn,
-                           tol=cfg.newton_tol, max_iter=cfg.newton_max_iter,
-                           linesearch=True)
-    if not result.converged:
-        raise NonConvergenceError("single-species sub-solve stalled",
-                                  iterations=result.iterations,
-                                  residual=result.residual)
-    return result.z
-
-
-def _splitting_fallback(mesh, kin, dt, prev, cfg, residual_fn, norm_fn,
-                        max_sweeps: int = 200) -> NewtonResult:
-    """Fixed-point iteration over species for steps where coupled Newton
-    stalls.  Each sweep solves the u problem with r_v(v) frozen, then the v
-    problem with r_u(u) frozen; the fixed point is the coupled solution.
-
-    The scalar sub-solves are cheap and robust, so they get their own
-    iteration budget rather than inheriting a starved coupled one."""
-    inner_cfg = replace(cfg, newton_max_iter=max(cfg.newton_max_iter, 30))
-    u, v = prev.u.copy(), prev.v.copy()
-    total_iters = 0
-    for _ in range(max_sweeps):
-        u = _single_species_solve(
-            mesh, dt, kin.diff_u, kin.alpha_hat, kin.rate_u, prev.u,
-            _rate_ext(kin.rate_v, v), inner_cfg)
-        v = _single_species_solve(
-            mesh, dt, kin.diff_v, kin.beta_hat, kin.rate_v, prev.v,
-            _rate_ext(kin.rate_u, u), inner_cfg)
-        total_iters += 1
-        z = np.concatenate([u, v])
-        res = norm_fn(z, residual_fn(z))
-        if res <= cfg.newton_tol:
-            return NewtonResult(z, total_iters, res, True)
-    raise NonConvergenceError(
-        f"{max_sweeps} sweeps did not close the coupled residual",
-        iterations=max_sweeps, residual=res)
 
 
 def _step_failure(what: str, prev, dt: float, kin: Kinetics,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fvreact.errors import NonConvergenceError
-from fvreact.kinetics import (closed_form_discrepancy,
+from fvreact.kinetics import (TOL_INV, closed_form_discrepancy,
                               dimerisation_g_closed_form,
                               dimerisation_kinetics,
                               dimerisation_u_closed_form, invert_monotone,
@@ -143,7 +143,7 @@ def test_u_from_w_matches_plain_inversion(make):
     # root: same iterates as inverting w_from_u with the chain-rule slope
     kin = make()
     w = W_SAMPLES
-    hi = kin.alpha * w * (1.0 + 1e-12) + 1e-300
+    hi = kin.alpha * w * (1.0 + 1e-12)
     plain = invert_monotone(
         kin.w_from_u,
         lambda s: 1.0 / kin.alpha + kin.v_from_u_deriv(s) / kin.beta,
@@ -155,8 +155,8 @@ def test_u_from_w_matches_plain_inversion(make):
 def test_flux_potential_pair_matches_chain_rule(make):
     # phi and phi' from one inversion equal the formulas evaluated from
     # u_from_w and v_from_u, bit for bit, and so do the two one-sided views;
-    # at w = 0 both power-law rate slopes underflow to 0 and the slope is
-    # the one-sided difference
+    # at w = 0 both power-law rate slopes vanish and the slope is the
+    # one-sided difference
     kin = make()
     w = W_SAMPLES
     u = kin.u_from_w(w)
@@ -173,6 +173,23 @@ def test_flux_potential_pair_matches_chain_rule(make):
     assert np.array_equal(kin.flux_potential(w), phi)
     assert np.array_equal(kin.flux_potential_deriv(w), phip)
     assert kin.flux_potential_and_deriv(float(w[7])) == (phi[7], phip[7])
+
+
+@BOTH_KINETICS
+def test_u_from_w_zero_and_tiny_w(make):
+    # the inversion bracket [0, alpha w (1 + 1e-12)] has no absolute offset,
+    # so w = 0 maps to exactly u = 0 and phi = 0, and tiny w stay inside
+    # their own bracket instead of being dominated by an offset
+    kin = make()
+    assert kin.u_from_w(0.0) == 0.0
+    assert kin.flux_potential(0.0) == 0.0
+    w = np.geomspace(1e-300, 1e-285, 16)
+    u = kin.u_from_w(w)
+    assert np.all(u > 0) and np.all(u <= kin.alpha * w * (1.0 + 1e-12))
+    assert np.all(np.diff(u) > 0)
+    back = kin.w_from_u(u)
+    assert np.all(np.abs(back - w) <= TOL_INV * (1.0 + w))
+    assert np.all(back <= w * (1.0 + 1e-12))
 
 
 def test_power_law_rejects_sublinear_exponent():

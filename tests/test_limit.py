@@ -136,7 +136,7 @@ def test_step_w_reports_nonconvergence():
     kin = dimer()
     rng = np.random.default_rng(3)
     prev = WState(w=rng.uniform(0.01, 1.0, 8), level=0, time=0.0)
-    cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2, linesearch=False)
+    cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2)
     with pytest.raises(NonConvergenceError) as info:
         step_w(mesh, kin, 1e9, prev, cfg)
     msg = str(info.value)

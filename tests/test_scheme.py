@@ -196,22 +196,25 @@ def test_step_reports_nonconvergence():
     rng = np.random.default_rng(11)
     prev = State(u=rng.uniform(0, 0.5, 8), v=rng.uniform(0, 0.25, 8),
                  level=0, time=0.0)
-    # an absurd tolerance is unreachable: every guess chain member fails
-    cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2, linesearch=False)
+    # an absurd tolerance is unreachable: the one Newton attempt fails
+    cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2)
     prev = State(u=prev.u, v=prev.v, level=7, time=3.0)
     with pytest.raises(NonConvergenceError) as info:
         step(mesh, kin, 1e4, prev, cfg)
     msg = str(info.value)
     for part in ("level 8", "t = 10003.0", "dt = 10000.0", "k = 1.0",
-                 "previous-state (residual", "equilibrium-guess (residual",
-                 "splitting: single-species sub-solve stalled (residual"):
+                 "tried previous-state (residual"):
         assert part in msg
+    assert msg.count("(residual ") == 1
+    assert "equilibrium-guess" not in msg and "splitting" not in msg
+    assert info.value.residual == pytest.approx(
+        float(msg.rsplit("(residual ", 1)[1].split()[0]))
     assert info.value.residual > 0 and info.value.iterations > 0
 
 
-def test_step_builds_equilibrium_guess_only_when_tried(monkeypatch):
-    # a step that converges from the previous state never needs the
-    # equilibrium guess, so it must not pay for the u_from_w inversion
+def test_step_never_inverts_the_equilibrium_map(monkeypatch):
+    # the coupled step is one Newton attempt from the previous state: even
+    # a failing k > 0 step pays for no u_from_w inversion
     mesh = build_uniform_1d(0.1, 8)
     kin = dimer()
     rng = np.random.default_rng(5)
@@ -222,26 +225,13 @@ def test_step_builds_equilibrium_guess_only_when_tried(monkeypatch):
     monkeypatch.setattr(Kinetics, "u_from_w",
                         lambda self, *a, **kw: calls.append(1)
                         or u_from_w(self, *a, **kw))
+    assert kin.rate_factor > 0
+    with pytest.raises(NonConvergenceError):
+        step(mesh, kin, 10.0, prev,
+             SolverConfig(newton_tol=1e-30, newton_max_iter=2))
     _, stats = step(mesh, kin, 10.0, prev)
     assert stats.fallback == ""
     assert calls == []
-
-
-def test_step_splitting_fallback_engages():
-    # max_iter=1 starves the coupled Newton on a genuinely nonlinear step
-    # (quadratic forward rate, O(1) constants) but the species splitting,
-    # which runs its scalar sub-solves with an adequate budget, still lands
-    # inside tolerance
-    mesh = build_uniform_1d(1.0, 4)
-    kin = dimerisation_kinetics(0.8, 0.5, 1e-3, 1e-3)
-    prev = State(u=np.array([1.0, 0.8, 0.2, 0.0]),
-                 v=np.array([0.0, 0.1, 0.3, 0.4]), level=0, time=0.0)
-    cfg = SolverConfig(newton_tol=1e-13, newton_max_iter=1)
-    new, stats = step(mesh, kin, 1.0, prev, cfg)
-    assert stats.fallback == "splitting"
-    res_u, res_v = residual(mesh, kin, 1.0, prev, new)
-    scale = np.maximum(1.0, np.abs(new.u)) * mesh.volumes
-    assert np.max(np.abs(res_u) / scale) < 1e-12
 
 
 # -- integration ---------------------------------------------------------------
