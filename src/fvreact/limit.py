@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton import damped_newton
+from ._newton import damped_newton, lapack_solve
 from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
@@ -145,13 +145,13 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
         raise _step_failure("limit", prev, dt, kin, attempts)
 
     w_new = result.z
-    slack = 10.0 * cfg.newton_tol * max(1.0, float(np.max(np.abs(prev.w))))
-    if float(np.min(w_new)) < float(np.min(prev.w)) - slack \
-            or float(np.max(w_new)) > float(np.max(prev.w)) + slack:
+    lo, hi = float(np.min(prev.w)), float(np.max(prev.w))
+    lo_new, hi_new = float(np.min(w_new)), float(np.max(w_new))
+    slack = 10.0 * cfg.newton_tol * max(1.0, -lo, hi)
+    if lo_new < lo - slack or hi_new > hi + slack:
         raise ConsistencyError(
             "converged diffusion step violated the maximum principle "
-            f"(range [{float(np.min(w_new))!r}, {float(np.max(w_new))!r}] vs "
-            f"previous [{float(np.min(prev.w))!r}, {float(np.max(prev.w))!r}])")
+            f"(range [{lo_new!r}, {hi_new!r}] vs previous [{lo!r}, {hi!r}])")
     state = WState(w=w_new, level=prev.level + 1, time=prev.time + dt)
     stats = StepStats(level=state.level, dt=dt,
                       newton_iterations=result.iterations,
@@ -167,22 +167,18 @@ def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float,
     and phi' there ("phip").  damped_newton solves only at that iterate, so
     a call on the same array reuses phi'; any other array is inverted anew.
     """
-    from scipy.linalg import solve_banded
-
     m = mesh.volumes
-    t = mesh.transmissibilities
-    deg = mesh.deg
+    dt_deg = dt * mesh.deg
+    dt_t = -dt * mesh.transmissibilities
 
     def solve_fn(w, r):
         if last is not None and last.get("w") is w:
             phip = last["phip"]
         else:
             phip = kin.flux_potential_deriv(np.abs(w))
-        ab = np.zeros((3, mesh.n_cells))
-        ab[1] = m + dt * deg * phip
-        ab[0, 1:] = -dt * t * phip[1:]
-        ab[2, :-1] = -dt * t * phip[:-1]
-        return solve_banded((1, 1), ab, r)
+        return lapack_solve("gtsv", dt_t * phip[:-1], m + dt_deg * phip,
+                            dt_t * phip[1:], r, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True)
 
     return solve_fn
 

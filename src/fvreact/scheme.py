@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton import damped_newton
+from ._newton import damped_newton, lapack_solve
 from .errors import ConsistencyError, NonConvergenceError
 from .kinetics import Kinetics, RateLaw
 from .mesh import Mesh, TimeGrid, build_uniform_1d
@@ -175,18 +175,29 @@ def residual(mesh: Mesh, kin: Kinetics, dt: float,
     _check_shapes(mesh, prev, guess)
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    return _residual_uv(mesh, kin, dt, prev.u, prev.v, guess.u, guess.v)
+    r = _make_residual_fn(mesh, kin, dt, prev)(
+        np.concatenate([guess.u, guess.v]))
+    return r[:mesh.n_cells], r[mesh.n_cells:]
 
 
-def _residual_uv(mesh, kin, dt, u_prev, v_prev, u, v):
+def _make_residual_fn(mesh: Mesh, kin: Kinetics, dt: float, prev: State):
+    """Return residual_fn(z), the residual pair of the step from ``prev``
+    stacked as [res_u, res_v]; z stacks [u, v]."""
+    n = mesh.n_cells
     m = mesh.volumes
     lap = mesh.laplacian()
-    gap = _rate_ext(kin.rate_u, u) - _rate_ext(kin.rate_v, v)
-    res_u = m * (u - u_prev) + dt * kin.diff_u * (lap @ u) \
-        + dt * m * kin.alpha_hat * gap
-    res_v = m * (v - v_prev) + dt * kin.diff_v * (lap @ v) \
-        - dt * m * kin.beta_hat * gap
-    return res_u, res_v
+    dt_a, dt_b = dt * kin.diff_u, dt * kin.diff_v
+    dt_m_ah, dt_m_bh = dt * m * kin.alpha_hat, dt * m * kin.beta_hat
+
+    def residual_fn(z):
+        u, v = z[:n], z[n:]
+        gap = _rate_ext(kin.rate_u, u) - _rate_ext(kin.rate_v, v)
+        r = np.empty(2 * n)
+        r[:n] = m * (u - prev.u) + dt_a * (lap @ u) + dt_m_ah * gap
+        r[n:] = m * (v - prev.v) + dt_b * (lap @ v) - dt_m_bh * gap
+        return r
+
+    return residual_fn
 
 
 def _check_shapes(mesh, prev, guess):
@@ -196,50 +207,48 @@ def _check_shapes(mesh, prev, guess):
 
 def _make_solve_fn(mesh: Mesh, kin: Kinetics, dt: float):
     """Return solve_fn(z, r) computing the Newton correction for the coupled
-    system; z stacks [u, v]."""
-    from scipy.linalg import solve_banded
+    system; z stacks [u, v].
 
+    Interleaved ordering (u_0, v_0, u_1, v_1, ...) makes the Jacobian
+    pentadiagonal.  It is held in LAPACK gbsv's band layout: rows 2..6 are
+    the diagonals +2..-2, rows 0 and 1 gbsv's room for fill-in.  All but
+    the four half-rows that depend on r'(u) and r'(v) are built once.
+    """
     n = mesh.n_cells
     m = mesh.volumes
     t = mesh.transmissibilities
-    deg = mesh.deg
     a, b = kin.diff_u, kin.diff_v
     ah, bh = kin.alpha_hat, kin.beta_hat
-    idx_u = np.arange(0, 2 * n, 2)
-    idx_v = idx_u + 1
+    band = np.zeros((7, 2 * n), order="F")
+    band[2, 2::2] = -dt * a * t        # u coupling to next cell
+    band[2, 3::2] = -dt * b * t
+    band[6, 0:-2:2] = -dt * a * t
+    band[6, 1:-2:2] = -dt * b * t
+    diag_u, diag_v = m + dt * a * mesh.deg, m + dt * b * mesh.deg
+    dt_m_ah, dt_m_bh = dt * m * ah, dt * m * bh
+    cross_u, cross_v = -dt * m * ah, -dt * m * bh
 
     def solve_fn(z, r):
-        # Interleaved ordering (u_0, v_0, u_1, v_1, ...) makes the
-        # Jacobian pentadiagonal; assemble it directly in banded form.
-        u, v = z[:n], z[n:]
-        rup = _rate_deriv_ext(kin.rate_u, u)
-        rvp = _rate_deriv_ext(kin.rate_v, v)
-        ab = np.zeros((5, 2 * n))
-        ab[2, idx_u] = m + dt * a * deg + dt * m * ah * rup
-        ab[2, idx_v] = m + dt * b * deg + dt * m * bh * rvp
-        ab[1, idx_v] = -dt * m * ah * rvp      # d res_u / d v, same cell
-        ab[3, idx_u] = -dt * m * bh * rup      # d res_v / d u, same cell
-        ab[0, idx_u[1:]] = -dt * a * t         # u coupling to next cell
-        ab[0, idx_v[1:]] = -dt * b * t
-        ab[4, idx_u[:-1]] = -dt * a * t
-        ab[4, idx_v[:-1]] = -dt * b * t
-        rhs = np.empty(2 * n)
-        rhs[idx_u] = r[:n]
-        rhs[idx_v] = r[n:]
-        sol = solve_banded((2, 2), ab, rhs)
-        return np.concatenate([sol[idx_u], sol[idx_v]])
+        rup = _rate_deriv_ext(kin.rate_u, z[:n])
+        rvp = _rate_deriv_ext(kin.rate_v, z[n:])
+        ab = band.copy(order="F")
+        ab[4, 0::2] = diag_u + dt_m_ah * rup
+        ab[4, 1::2] = diag_v + dt_m_bh * rvp
+        ab[3, 1::2] = cross_u * rvp    # d res_u / d v, same cell
+        ab[5, 0::2] = cross_v * rup    # d res_v / d u, same cell
+        rhs = r.reshape(2, n).T.flatten()  # a copy: gbsv overwrites it
+        x = lapack_solve("gbsv", 2, 2, ab, rhs,
+                         overwrite_ab=True, overwrite_b=True)
+        return x.reshape(n, 2).T.ravel()
 
     return solve_fn
 
 
 def _scaled_norm(mesh: Mesh):
-    m = mesh.volumes
-    n = mesh.n_cells
+    m2 = np.concatenate([mesh.volumes, mesh.volumes])
 
     def norm_fn(z, r):
-        scale = np.concatenate([m * np.maximum(1.0, np.abs(z[:n])),
-                                m * np.maximum(1.0, np.abs(z[n:]))])
-        return float(np.max(np.abs(r) / scale))
+        return float(np.max(np.abs(r) / (m2 * np.maximum(1.0, np.abs(z)))))
 
     return norm_fn
 
@@ -261,12 +270,8 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
         raise ValueError("dt must be nonnegative")
     _check_shapes(mesh, prev, prev)
     n = mesh.n_cells
-
-    def residual_fn(z):
-        ru, rv = _residual_uv(mesh, kin, dt, prev.u, prev.v, z[:n], z[n:])
-        return np.concatenate([ru, rv])
-
-    result = damped_newton(np.concatenate([prev.u, prev.v]), residual_fn,
+    result = damped_newton(np.concatenate([prev.u, prev.v]),
+                           _make_residual_fn(mesh, kin, dt, prev),
                            _make_solve_fn(mesh, kin, dt), _scaled_norm(mesh),
                            tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     if not result.converged:
@@ -303,19 +308,22 @@ def _check_step_bounds(kin, prev, u_new, v_new, newton_tol):
     """A converged step must stay inside the scheme's proven envelope:
     nonnegative, u below max(u_prev) + (alpha/beta) max(v_prev) and v below
     the symmetric bound, all within 10 * newton_tol slack."""
-    cap_u = float(np.max(prev.u)) + (kin.alpha / kin.beta) * float(np.max(prev.v))
-    cap_v = float(np.max(prev.v)) + (kin.beta / kin.alpha) * float(np.max(prev.u))
+    max_u, max_v = float(np.max(prev.u)), float(np.max(prev.v))
+    cap_u = max_u + (kin.alpha / kin.beta) * max_v
+    cap_v = max_v + (kin.beta / kin.alpha) * max_u
     slack_u = 10.0 * newton_tol * max(1.0, cap_u)
     slack_v = 10.0 * newton_tol * max(1.0, cap_v)
-    if float(np.min(u_new)) < -slack_u or float(np.min(v_new)) < -slack_v:
+    lo_u, lo_v = float(np.min(u_new)), float(np.min(v_new))
+    if lo_u < -slack_u or lo_v < -slack_v:
         raise ConsistencyError(
             f"converged step produced negative concentrations "
-            f"(min u = {float(np.min(u_new))!r}, min v = {float(np.min(v_new))!r})")
-    if float(np.max(u_new)) > cap_u + slack_u or float(np.max(v_new)) > cap_v + slack_v:
+            f"(min u = {lo_u!r}, min v = {lo_v!r})")
+    hi_u, hi_v = float(np.max(u_new)), float(np.max(v_new))
+    if hi_u > cap_u + slack_u or hi_v > cap_v + slack_v:
         raise ConsistencyError(
             f"converged step escaped its comparison envelope "
-            f"(max u = {float(np.max(u_new))!r} vs cap {cap_u!r}, "
-            f"max v = {float(np.max(v_new))!r} vs cap {cap_v!r})")
+            f"(max u = {hi_u!r} vs cap {cap_u!r}, "
+            f"max v = {hi_v!r} vs cap {cap_v!r})")
 
 
 # -- marching ---------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +193,162 @@ def test_banded_correction_matches_fd_jacobian(n_cells, k):
     expect_w = np.linalg.solve(_fd_jacobian(limit_residual, w), r[:n_cells])
     assert np.allclose(delta_w, expect_w, rtol=1e-6,
                        atol=1e-9 * np.max(np.abs(expect_w)))
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 1e3, 1e9])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 16, 50])
+def test_lapack_corrections_equal_solve_banded(n_cells, k):
+    # both corrections call LAPACK directly; on the same band they must
+    # equal scipy.linalg.solve_banded bit for bit and leave r untouched
+    from scipy.linalg import solve_banded
+
+    mesh = build_uniform_1d(0.1, n_cells)
+    kin = dimer(k=k)
+    n = n_cells
+    m, t, deg = mesh.volumes, mesh.transmissibilities, mesh.deg
+    a, b, ah, bh = kin.diff_u, kin.diff_v, kin.alpha_hat, kin.beta_hat
+    rng = np.random.default_rng([n_cells, 7])
+    z = np.concatenate([rng.uniform(0.05, 0.5, n), rng.uniform(0.05, 0.25, n)])
+    r = rng.uniform(-1.0, 1.0, 2 * n)
+    r_before = r.copy()
+    rup, rvp = kin.rate_u.deriv(z[:n]), kin.rate_v.deriv(z[n:])
+    w = z[:n] / kin.alpha + z[n:] / kin.beta
+    phip = kin.flux_potential_deriv(w)
+    iu, iv = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    for dt in (1.0, 1e3, 1e6):
+        ab = np.zeros((5, 2 * n))
+        ab[2, iu] = m + dt * a * deg + dt * m * ah * rup
+        ab[2, iv] = m + dt * b * deg + dt * m * bh * rvp
+        ab[1, iv] = -dt * m * ah * rvp
+        ab[3, iu] = -dt * m * bh * rup
+        ab[0, iu[1:]] = -dt * a * t
+        ab[0, iv[1:]] = -dt * b * t
+        ab[4, iu[:-1]] = -dt * a * t
+        ab[4, iv[:-1]] = -dt * b * t
+        x = solve_banded((2, 2), ab, np.ravel([r[:n], r[n:]], order="F"))
+        delta = scheme._make_solve_fn(mesh, kin, dt)(z, r)
+        assert np.array_equal(delta, np.concatenate([x[iu], x[iv]]))
+
+        ab_w = np.zeros((3, n))
+        ab_w[1] = m + dt * deg * phip
+        ab_w[0, 1:] = -dt * t * phip[1:]
+        ab_w[2, :-1] = -dt * t * phip[:-1]
+        delta_w = limit._make_solve_fn_w(mesh, kin, dt)(w, r[:n])
+        assert np.array_equal(delta_w, solve_banded((1, 1), ab_w, r[:n]))
+        assert np.array_equal(r, r_before)
+
+
+def test_singular_band_fails_the_step(monkeypatch):
+    # one cell, alpha_hat = 1, dt = 1/2, r_u' = -2, r_v' = 0: the u-row of
+    # the Jacobian is exactly zero
+    from scipy.linalg import solve_banded
+
+    mesh = build_uniform_1d(1.0, 1)
+    kin = linear_kin(k=1.0)
+    monkeypatch.setattr(scheme, "_rate_deriv_ext", lambda law, s: np.full(
+        s.shape, -2.0 if law is kin.rate_u else 0.0))
+    z, r = np.array([0.3, 0.1]), np.array([1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scheme._make_solve_fn(mesh, kin, 0.5)(z, r)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((2, 2), [[0, 0], [0, 0], [0, 1], [1, 0], [0, 0]], r)
+    prev = State(u=[0.3], v=[0.1], level=0, time=0.0)
+    with pytest.raises(NonConvergenceError, match="after 0 iterations"):
+        step(mesh, kin, 0.5, prev)
+
+    # two cells, dt = 1/4, phi' = (0, -1): the second row is exactly zero
+    mesh = build_uniform_1d(1.0, 2)
+    w, phip = np.array([0.2, 0.4]), np.array([0.0, -1.0])
+    solve_w = limit._make_solve_fn_w(mesh, kin, 0.25, {"w": w, "phip": phip})
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_w(w, r)
+
+
+def test_non_finite_band_raises_solve_banded_error(monkeypatch):
+    from scipy.linalg import solve_banded
+
+    with pytest.raises(ValueError) as banded:
+        solve_banded((2, 2), np.full((5, 4), np.nan), np.ones(4))
+    mesh = build_uniform_1d(0.1, 2)
+    kin = dimer()
+    z = np.array([0.1, 0.2, 0.1, 0.1])
+    for bad in (np.nan, np.inf):
+        # r_u' = 2 kf u is non-finite with u; r_v' is constant
+        with pytest.raises(ValueError) as ours:
+            scheme._make_solve_fn(mesh, kin, 1e3)(
+                np.array([0.1, bad, 0.1, 0.1]), np.ones(4))
+        assert str(ours.value) == str(banded.value)
+        with pytest.raises(ValueError) as ours:
+            scheme._make_solve_fn(mesh, kin, 1e3)(
+                z, np.array([0.1, 0.2, bad, 0.1]))
+        assert str(ours.value) == str(banded.value)
+    for n_cells in (1, 2):
+        w = np.full(n_cells, 0.2)
+        with pytest.raises(ValueError) as ours:
+            limit._make_solve_fn_w(build_uniform_1d(0.1, n_cells), kin, 1e3)(
+                w, np.full(n_cells, np.nan))
+        assert str(ours.value) == str(banded.value)
+    monkeypatch.setattr(scheme, "_rate_deriv_ext",
+                        lambda law, s: np.full(s.shape, np.nan))
+    prev = State(u=[0.3, 0.2], v=[0.1, 0.1], level=0, time=0.0)
+    with pytest.raises(ValueError) as ours:
+        step(mesh, kin, 1e3, prev)
+    assert str(ours.value) == str(banded.value)
+
+
+def test_newton_result_counts_its_callbacks(monkeypatch):
+    # residual_evals and linear_solves equal the calls of the residual and
+    # solve callbacks, on a converging coupled step and a limit step
+    results = []
+    damped_newton = scheme.damped_newton
+
+    def counting_newton(z0, residual_fn, solve_fn, *args, **kwargs):
+        calls = {"residual": 0, "solve": 0}
+
+        def counted_residual(z):
+            calls["residual"] += 1
+            return residual_fn(z)
+
+        def counted_solve(z, r):
+            calls["solve"] += 1
+            return solve_fn(z, r)
+
+        result = damped_newton(z0, counted_residual, counted_solve,
+                               *args, **kwargs)
+        results.append((result, calls))
+        return result
+
+    monkeypatch.setattr(scheme, "damped_newton", counting_newton)
+    monkeypatch.setattr(limit, "damped_newton", counting_newton)
+    mesh = build_uniform_1d(0.1, 16)
+    kin = dimer(k=1e3)
+    rng = np.random.default_rng(2)
+    prev = State(u=rng.uniform(0.05, 0.5, 16), v=rng.uniform(0.05, 0.25, 16),
+                 level=0, time=0.0)
+    step(mesh, kin, 1e3, prev)
+    limit.step_w(mesh, kin, 1e3, limit.WState(
+        w=prev.u / kin.alpha + prev.v / kin.beta, level=0, time=0.0))
+    assert len(results) == 2
+    for result, calls in results:
+        assert result.converged
+        assert result.residual_evals == calls["residual"]
+        assert result.linear_solves == calls["solve"]
+        assert result.residual_evals > result.linear_solves >= \
+            result.iterations > 0
+
+
+def test_import_does_not_load_scipy():
+    # the LAPACK routines and the Laplacian are looked up on first use, so
+    # importing the package stays cheap
+    import fvreact
+
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(fvreact.__file__).resolve().parents[1])}
+    code = ("import sys, fvreact; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_step_reports_nonconvergence():
