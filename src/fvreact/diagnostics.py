@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinetics import Kinetics
+from .kinetics import Kinetics, RateLaw
 from .limit import WTrajectory
 from .mesh import Mesh, TimeGrid
 from .scheme import State, Trajectory
@@ -116,53 +116,23 @@ def reaction_defect(mesh: Mesh, grid: TimeGrid, kin: Kinetics,
 
 # -- convex entropy ----------------------------------------------------------
 
-def _entropy_fn(law, weight: float, ref: float, quad_tol: float):
-    """Build the vectorized entropy density on s >= 0,
+def _entropy_fn(law: RateLaw, weight: float, ref: float, s: np.ndarray):
+    """The entropy density at each entry of s >= 0,
 
         V(s) = (1/weight) [ s ln(r(s)/r(ref)) + int_s^ref sigma r'(sigma)/r(sigma) d sigma ].
 
-    V is convex, nonnegative and vanishes at s = ref.  For a power law
-    r(s) = c s^p (``law.exponent`` set) the integrand is the constant p, so
+    V is convex, nonnegative and vanishes at s = ref.  For the power law
+    r(s) = c s^p the integrand is the constant p, so
 
         V(s) = (p/weight) (s ln(s/ref) - s + ref),   V(0) = (p/weight) ref,
 
-    one array expression.  Only a rate law without an exponent has no closed
-    form: each value is then a ``quad`` integral to ``quad_tol``, with the
-    integrand frozen below a floor to dodge underflow in r.
+    one array expression.
     """
     if not ref > 0:
         raise ValueError("entropy reference value must be positive")
-    if law.exponent is not None:
-        scale = law.exponent / weight
-
-        def closed_form(s):
-            s = np.asarray(s, dtype=float)
-            # s ln(s/ref) -> 0 as s -> 0; the where keeps log(0) out
-            return scale * (s * np.log(np.where(s > 0, s, ref) / ref) - s + ref)
-
-        return closed_form
-
-    from scipy.integrate import quad
-
-    floor = ref * 1e-10
-    log_ref = float(np.log(law.value(np.asarray(ref, dtype=float))))
-
-    def integrand(sigma: float) -> float:
-        s = max(sigma, floor)
-        return s * float(law.deriv(np.asarray(s, dtype=float))) \
-            / float(law.value(np.asarray(s, dtype=float)))
-
-    def v_fn(s: float) -> float:
-        if s <= floor:
-            log_term = 0.0  # s ln r(s) -> 0 as s -> 0
-        else:
-            log_term = s * (float(np.log(law.value(np.asarray(s, dtype=float))))
-                            - log_ref)
-        integral, _ = quad(integrand, s, ref,
-                           epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        return (log_term + integral) / weight
-
-    return np.vectorize(v_fn, otypes=[float])
+    # s ln(s/ref) -> 0 as s -> 0; the where keeps log(0) out
+    return (law.exponent / weight) * (
+        s * np.log(np.where(s > 0, s, ref) / ref) - s + ref)
 
 
 def _resolve_reference(mesh: Mesh, kin: Kinetics, state0: State,
@@ -185,32 +155,30 @@ def _resolve_reference(mesh: Mesh, kin: Kinetics, state0: State,
 
 
 def _entropy(mesh: Mesh, kin: Kinetics, ref: tuple[float, float],
-             quad_tol: float, u: np.ndarray, v: np.ndarray):
+             u: np.ndarray, v: np.ndarray):
     """sum_K m_K (V_u(u_K) + V_v(v_K)) along the last axis of u and v, with
     negative concentrations clipped to 0.  Summed row by row (not a
     matrix product), so one state gets the bits it gets inside a series."""
-    v_u = _entropy_fn(kin.rate_u, kin.alpha, ref[0], quad_tol)
-    v_v = _entropy_fn(kin.rate_v, kin.beta, ref[1], quad_tol)
-    density = v_u(np.maximum(u, 0.0)) + v_v(np.maximum(v, 0.0))
+    density = (_entropy_fn(kin.rate_u, kin.alpha, ref[0], np.maximum(u, 0.0))
+               + _entropy_fn(kin.rate_v, kin.beta, ref[1], np.maximum(v, 0.0)))
     return np.sum(density * mesh.volumes, axis=-1)
 
 
 def lyapunov(mesh: Mesh, kin: Kinetics, state: State,
-             reference=None, quad_tol: float = 1e-10) -> float:
+             reference=None) -> float:
     """Convex entropy sum_K m_K (V_u(u_K) + V_v(v_K)) relative to a
     rate-balanced reference pair (a, b).
 
     Defaults: a is the measure-weighted mean of the state's u, b balances
     it.  The scheme never increases this functional.  V is evaluated in
-    closed form for power-law rates and by ``quad`` to ``quad_tol`` only
-    for a rate law without an exponent (see ``_entropy_fn``).
+    closed form from each rate law's exponent (see ``_entropy_fn``).
     """
     ref = _resolve_reference(mesh, kin, state, reference)
-    return float(_entropy(mesh, kin, ref, quad_tol, state.u, state.v))
+    return float(_entropy(mesh, kin, ref, state.u, state.v))
 
 
 def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
-                    reference=None, quad_tol: float = 1e-10) -> np.ndarray:
+                    reference=None) -> np.ndarray:
     """Entropy per recorded state, sharing one reference pair (resolved from
     the first recorded state when not given, so the series is comparable).
     The whole trajectory is evaluated in one array expression."""
@@ -218,7 +186,7 @@ def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
         raise ValueError("empty trajectory")
     ref = _resolve_reference(mesh, kin, traj.states[0], reference)
     _, _, u, v = traj.arrays()
-    return _entropy(mesh, kin, ref, quad_tol, u, v)
+    return _entropy(mesh, kin, ref, u, v)
 
 
 # -- distance to the fast-reaction limit ------------------------------------

@@ -21,7 +21,7 @@ import math
 import sys
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,10 @@ import numpy as np
 from .diagnostics import DiagnosticsReport, diagnostics_report
 from .errors import ConfigError
 from .kinetics import Kinetics, kinetics_from_dict
-from .limit import WTrajectory, integrate_w, project_initial_w, write_w_csv
+from .limit import integrate_w, project_initial_w, write_w_csv
 from .mesh import (Mesh, TimeGrid, build_time_grid_ramped,
                    build_time_grid_uniform, build_uniform_1d, write_mesh_csv)
-from .scheme import (SolverConfig, Trajectory, integrate, project_initial,
+from .scheme import (SolverConfig, integrate, project_initial,
                      write_stats_csv, write_trajectory_csv)
 
 __all__ = [
@@ -453,10 +453,7 @@ def run(cfg: ExperimentConfig, outdir, write_mesh: bool = False,
 
 
 def _subset(traj, keep: set):
-    filtered = [s for s in traj.states if s.level in keep]
-    if isinstance(traj, WTrajectory):
-        return WTrajectory(states=filtered, stats=traj.stats)
-    return Trajectory(states=filtered, stats=traj.stats)
+    return replace(traj, states=[s for s in traj.states if s.level in keep])
 
 
 def _write_outputs(cfg, mesh, traj, wtraj, report, outdir: Path,

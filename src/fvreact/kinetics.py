@@ -9,15 +9,17 @@ combination w = u/alpha + v/beta is an increasing function of u
 fast-reaction regime is packaged as ``flux_potential``; its slope comes
 with it from the same inversion in ``flux_potential_and_deriv``.
 
-Rate laws are supplied as paired value/derivative callables plus a declared
-domain bound; construction samples monotonicity on a log-spaced grid up to
-that bound.  Inversions use safeguarded Newton iteration with a bisection
-fallback on a guaranteed bracket, so they do not depend on starting guesses.
+Every rate law is a power law c s^p with c > 0 and p >= 1 (``RateLaw``),
+so r_v has a closed-form inverse and ``v_from_u`` is one expression.  The
+remaining inversion, ``u_from_w``, uses safeguarded Newton iteration with a
+bisection fallback on a guaranteed bracket, so it does not depend on
+starting guesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,39 +45,51 @@ TOL_INV = 1e-12  # mixed absolute/relative tolerance for scalar inversions
 
 @dataclass(frozen=True)
 class RateLaw:
-    """Strictly increasing rate law on s >= 0 with value 0 at 0.
+    """Power-law rate r(s) = coeff * s**exponent on s >= 0.
 
-    ``value`` and ``deriv`` must accept numpy arrays.  ``inverse``, when
-    supplied, is a closed-form inverse used to shortcut root finding;
-    without it, inversion brackets the root and iterates.  ``domain_bound``
-    is the upper end of the range on which validation samples monotonicity,
-    not an enforced limit.  ``exponent`` describes a power law c s^p by its
-    p; it is not checked against ``value``, and it lets the entropy be
-    evaluated in closed form instead of by quadrature.
+    ``coeff`` must be finite and positive and ``exponent`` finite and >= 1,
+    so r is strictly increasing, vanishes at 0 and is continuously
+    differentiable there.  ``value``, ``deriv`` and ``inverse`` accept
+    numpy arrays.  Exponents 1 and 2 use plain products and ``np.sqrt``
+    instead of ``np.power``, which fixes their bits independently of
+    numpy's scalar-power fast paths.
     """
 
-    value: Callable
-    deriv: Callable
-    domain_bound: float = 1e6
-    inverse: Callable | None = None
-    exponent: float | None = None
+    coeff: float
+    exponent: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.coeff) and self.coeff > 0):
+            raise ValueError(
+                f"rate coefficient must be finite and positive, "
+                f"got {self.coeff!r}")
+        if not (math.isfinite(self.exponent) and self.exponent >= 1.0):
+            raise ValueError(
+                f"rate exponent must be finite and >= 1, got {self.exponent!r}")
 
-def _check_rate_law(name: str, law: RateLaw) -> None:
-    if not law.domain_bound > 0:
-        raise ValueError(f"{name}: domain_bound must be positive")
-    grid = np.concatenate(
-        [[0.0], np.geomspace(law.domain_bound * 1e-12, law.domain_bound, 49)])
-    vals = np.asarray(law.value(grid), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name}: rate law produced non-finite values")
-    if abs(vals[0]) > 1e-12 * max(1.0, abs(vals[-1])):
-        raise ValueError(f"{name}: rate at 0 must vanish, got {vals[0]!r}")
-    if not np.all(np.diff(vals) > 0):
-        raise ValueError(f"{name}: sampled values are not strictly increasing")
-    ders = np.asarray(law.deriv(grid[1:]), dtype=float)
-    if np.any(np.isnan(ders)) or np.any(ders <= 0):
-        raise ValueError(f"{name}: sampled derivative must be positive")
+    def value(self, s):
+        c, p = self.coeff, self.exponent
+        if p == 1.0:
+            return c * s
+        if p == 2.0:
+            return c * s * s
+        return c * np.power(s, p)
+
+    def deriv(self, s):
+        c, p = self.coeff, self.exponent
+        if p == 1.0:
+            return np.full_like(np.asarray(s, dtype=float), c)
+        if p == 2.0:
+            return 2.0 * c * s
+        return c * p * np.power(s, p - 1.0)
+
+    def inverse(self, y):
+        c, p = self.coeff, self.exponent
+        if p == 1.0:
+            return y / c
+        if p == 2.0:
+            return np.sqrt(y / c)
+        return np.power(y / c, 1.0 / p)
 
 
 def invert_monotone(f: Callable, df: Callable, y, lo, hi,
@@ -162,8 +176,6 @@ class Kinetics:
         if self.rate_factor < 0:
             raise ValueError(
                 f"rate_factor must be nonnegative, got {self.rate_factor!r}")
-        _check_rate_law("rate_u", self.rate_u)
-        _check_rate_law("rate_v", self.rate_v)
 
     @property
     def alpha_hat(self) -> float:
@@ -175,21 +187,12 @@ class Kinetics:
 
     # -- equilibrium-manifold maps ------------------------------------
 
-    def v_from_u(self, u, tol: float = TOL_INV):
+    def v_from_u(self, u):
         """The v whose reverse rate balances r_u(u): r_v(v) = r_u(u)."""
         u_arr, scalar = _as_array(u)
         if np.any(u_arr < 0):
             raise ValueError("v_from_u requires u >= 0")
-        y = np.asarray(self.rate_u.value(u_arr), dtype=float)
-        if self.rate_v.inverse is not None:
-            out = np.asarray(self.rate_v.inverse(y), dtype=float)
-        elif y.size == 0:
-            out = y.copy()
-        else:
-            hi = _range_bracket(self.rate_v, float(np.max(y)))
-            out = invert_monotone(
-                lambda s: self.rate_v.value(s), lambda s: self.rate_v.deriv(s),
-                y, 0.0, hi, tol=tol)
+        out = self.rate_v.inverse(self.rate_u.value(u_arr))
         return out.item() if scalar else out
 
     def v_from_u_deriv(self, u):
@@ -200,18 +203,16 @@ class Kinetics:
         value at exactly 0 should special-case it.
         """
         u_arr, scalar = _as_array(u)
-        v = np.asarray(self.v_from_u(u_arr), dtype=float)
+        v = self.v_from_u(u_arr)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.asarray(self.rate_u.deriv(u_arr), dtype=float)
-                   / np.asarray(self.rate_v.deriv(v), dtype=float))
+            out = self.rate_u.deriv(u_arr) / self.rate_v.deriv(v)
         return out.item() if scalar else out
 
-    def w_from_u(self, u, tol: float = TOL_INV):
+    def w_from_u(self, u):
         """Conserved variable of the equilibrium state with given u:
         w = u/alpha + v_from_u(u)/beta.  Strictly increasing in u."""
         u_arr, scalar = _as_array(u)
-        out = u_arr / self.alpha + np.asarray(
-            self.v_from_u(u_arr, tol=tol), dtype=float) / self.beta
+        out = u_arr / self.alpha + self.v_from_u(u_arr) / self.beta
         return out.item() if scalar else out
 
     def u_from_w(self, w, tol: float = TOL_INV):
@@ -231,16 +232,14 @@ class Kinetics:
         seen = [None, None]  # the last iterate handed to f, and v there
 
         def f(s):
-            v = np.asarray(self.v_from_u(s), dtype=float)
+            v = self.v_from_u(s)
             seen[:] = s, v
             return s / self.alpha + v / self.beta
 
         def df(s):
-            v = seen[1] if s is seen[0] \
-                else np.asarray(self.v_from_u(s), dtype=float)
+            v = seen[1] if s is seen[0] else self.v_from_u(s)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ep = (np.asarray(self.rate_u.deriv(s), dtype=float)
-                      / np.asarray(self.rate_v.deriv(v), dtype=float))
+                ep = self.rate_u.deriv(s) / self.rate_v.deriv(v)
             return 1.0 / self.alpha + ep / self.beta
 
         out = invert_monotone(f, df, w_arr, 0.0, hi, tol=tol)
@@ -249,14 +248,13 @@ class Kinetics:
     def v_from_w(self, w, tol: float = TOL_INV):
         """Equilibrium v recovered from the conserved variable."""
         w_arr, scalar = _as_array(w)
-        out = np.asarray(
-            self.v_from_u(self.u_from_w(w_arr, tol=tol), tol=tol), dtype=float)
+        out = self.v_from_u(self.u_from_w(w_arr, tol=tol))
         return out.item() if scalar else out
 
     def _flux_state(self, w_arr: np.ndarray, tol: float):
         """Equilibrium (u, v) of w_arr and the flux potential there."""
-        u = np.asarray(self.u_from_w(w_arr, tol=tol), dtype=float)
-        v = np.asarray(self.v_from_u(u, tol=tol), dtype=float)
+        u = self.u_from_w(w_arr, tol=tol)
+        v = self.v_from_u(u)
         return u, v, (self.diff_u / self.alpha) * u + (self.diff_v / self.beta) * v
 
     def flux_potential(self, w, tol: float = TOL_INV):
@@ -284,8 +282,8 @@ class Kinetics:
         """
         w_arr, scalar = _as_array(w)
         u, v, phi = self._flux_state(w_arr, tol)
-        rup = np.asarray(self.rate_u.deriv(u), dtype=float)
-        rvp = np.asarray(self.rate_v.deriv(v), dtype=float)
+        rup = self.rate_u.deriv(u)
+        rvp = self.rate_v.deriv(v)
         num = (self.diff_u / self.alpha) * rvp + (self.diff_v / self.beta) * rup
         den = rvp / self.alpha + rup / self.beta
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -311,8 +309,13 @@ class Kinetics:
 class DimerisationKinetics(Kinetics):
     """Reversible dimerisation 2A <-> B: r_u(s) = kf s^2, r_v(s) = kb s."""
 
-    k_forward: float = field(kw_only=True)
-    k_backward: float = field(kw_only=True)
+    @property
+    def k_forward(self) -> float:
+        return self.rate_u.coeff
+
+    @property
+    def k_backward(self) -> float:
+        return self.rate_v.coeff
 
 
 def _as_array(s) -> tuple[np.ndarray, bool]:
@@ -322,77 +325,33 @@ def _as_array(s) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _range_bracket(law: RateLaw, ymax: float) -> float:
-    """Smallest power-of-two bound hi with law.value(hi) >= ymax."""
-    hi = 1.0
-    for _ in range(2100):
-        if float(law.value(np.asarray(hi))) >= ymax:
-            return hi
-        hi *= 2.0
-    raise NonConvergenceError(
-        f"rate law range does not reach {ymax!r}; inversion has no bracket")
-
-
 def dimerisation_kinetics(k_forward: float, k_backward: float,
                           diff_u: float, diff_v: float,
-                          rate_factor: float = 1.0,
-                          domain_bound: float = 1e6) -> DimerisationKinetics:
+                          rate_factor: float = 1.0) -> DimerisationKinetics:
     """Kinetics of a reversible dimerisation 2A <-> B.
 
     Forward rate k_forward * u^2, backward rate k_backward * v.  Two
     monomers disappear per dimer formed, so alpha = 2 and beta = 1.
     """
-    if not k_forward > 0 or not k_backward > 0:
-        raise ValueError("dimerisation rate constants must be positive")
-    kf, kb = float(k_forward), float(k_backward)
-    rate_u = RateLaw(
-        value=lambda s: kf * s * s,
-        deriv=lambda s: 2.0 * kf * s,
-        domain_bound=domain_bound,
-        inverse=lambda y: np.sqrt(y / kf),
-        exponent=2.0,
-    )
-    rate_v = RateLaw(
-        value=lambda s: kb * s,
-        deriv=lambda s: np.full_like(np.asarray(s, dtype=float), kb),
-        domain_bound=domain_bound,
-        inverse=lambda y: y / kb,
-        exponent=1.0,
-    )
     return DimerisationKinetics(
         alpha=2.0, beta=1.0, diff_u=diff_u, diff_v=diff_v,
-        rate_u=rate_u, rate_v=rate_v, rate_factor=rate_factor,
-        k_forward=kf, k_backward=kb)
+        rate_u=RateLaw(float(k_forward), 2.0),
+        rate_v=RateLaw(float(k_backward), 1.0), rate_factor=rate_factor)
 
 
 def power_law_kinetics(coeff_u: float, exp_u: float,
                        coeff_v: float, exp_v: float,
                        alpha: float, beta: float,
                        diff_u: float, diff_v: float,
-                       rate_factor: float = 1.0,
-                       domain_bound: float = 1e6) -> Kinetics:
+                       rate_factor: float = 1.0) -> Kinetics:
     """Power-law kinetics r_u(s) = coeff_u s^exp_u, r_v(s) = coeff_v s^exp_v.
 
     Exponents below 1 are rejected: the derivative would blow up at 0 and
     the rate law would stop being continuously differentiable there.
     """
-    if not coeff_u > 0 or not coeff_v > 0:
-        raise ValueError("power-law coefficients must be positive")
-    if exp_u < 1.0 or exp_v < 1.0:
-        raise ValueError("power-law exponents must be >= 1")
-
-    def make(c: float, p: float) -> RateLaw:
-        return RateLaw(
-            value=lambda s: c * np.power(s, p),
-            deriv=lambda s: c * p * np.power(s, p - 1.0),
-            domain_bound=domain_bound,
-            inverse=lambda y: np.power(y / c, 1.0 / p),
-            exponent=p,
-        )
-
     return Kinetics(alpha=alpha, beta=beta, diff_u=diff_u, diff_v=diff_v,
-                    rate_u=make(float(coeff_u), float(exp_u)),
-                    rate_v=make(float(coeff_v), float(exp_v)),
+                    rate_u=RateLaw(float(coeff_u), float(exp_u)),
+                    rate_v=RateLaw(float(coeff_v), float(exp_v)),
                     rate_factor=rate_factor)
 
 
@@ -416,22 +375,19 @@ def kinetics_from_dict(spec: dict) -> Kinetics:
     missing = [f for f in fields[name] if f not in spec]
     if missing:
         raise ValueError(f"kinetics {name!r} missing fields: {missing}")
-    extra = sorted(set(spec) - set(fields[name]) - {"name", "domain_bound"})
+    extra = sorted(set(spec) - set(fields[name]) - {"name"})
     if extra:
         raise ValueError(f"kinetics {name!r} has unknown fields: {extra}")
-    bound = float(spec.get("domain_bound", 1e6))
     vals = {f: float(spec[f]) for f in fields[name]}
     if name == "dimerisation":
         return dimerisation_kinetics(
             k_forward=vals["k1"], k_backward=vals["k2"],
-            diff_u=vals["a"], diff_v=vals["b"], rate_factor=vals["k"],
-            domain_bound=bound)
+            diff_u=vals["a"], diff_v=vals["b"], rate_factor=vals["k"])
     return power_law_kinetics(
         coeff_u=vals["c_a"], exp_u=vals["p"],
         coeff_v=vals["c_b"], exp_v=vals["q"],
         alpha=vals["alpha"], beta=vals["beta"],
-        diff_u=vals["a"], diff_v=vals["b"], rate_factor=vals["k"],
-        domain_bound=bound)
+        diff_u=vals["a"], diff_v=vals["b"], rate_factor=vals["k"])
 
 
 # -- closed-form cross-check channel (dimerisation only) ---------------

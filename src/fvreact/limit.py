@@ -27,8 +27,8 @@ from ._newton import damped_newton, lapack_solve
 from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
-from .scheme import (SolverConfig, StepStats, _cell_averages, _step_failure,
-                     _write_cell_csv)
+from .scheme import (SolverConfig, StepStats, _cell_averages, _output_set,
+                     _step_failure, _write_cell_csv)
 
 __all__ = [
     "WState",
@@ -188,8 +188,6 @@ def integrate_w(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: WState,
                 output_levels=None) -> WTrajectory:
     """March the diffusion scheme over the whole grid; see scheme.integrate
     for the output_levels convention."""
-    from .scheme import _output_set
-
     if initial.level != 0 or initial.time != 0.0:
         raise ValueError("integration starts from level 0 at time 0")
     if initial.n_cells != mesh.n_cells:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fvreact.errors import NonConvergenceError
-from fvreact.kinetics import (TOL_INV, closed_form_discrepancy,
+from fvreact.kinetics import (TOL_INV, RateLaw, closed_form_discrepancy,
                               dimerisation_g_closed_form,
                               dimerisation_kinetics,
                               dimerisation_u_closed_form, invert_monotone,
@@ -107,6 +107,22 @@ def test_rate_law_deriv_matches_fd(dimer):
     for law in (dimer.rate_u, dimer.rate_v):
         fd = (law.value(s + 1e-7) - law.value(s - 1e-7)) / 2e-7
         assert np.allclose(law.deriv(s), fd, rtol=1e-6)
+
+
+def test_rate_law_plain_products_and_validation():
+    # exponents 1 and 2 give the dimerisation expressions bit for bit
+    s = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 61)])
+    kf, kb = RateLaw(K1, 2.0), RateLaw(K2, 1.0)
+    pairs = [(kb.value(s), K2 * s), (kf.value(s), K1 * s * s),
+             (kb.deriv(s), np.full_like(s, K2)), (kf.deriv(s), 2.0 * K1 * s),
+             (kb.inverse(s), s / K2), (kf.inverse(s), np.sqrt(s / K1))]
+    for got, expect in pairs:
+        assert got.tobytes() == expect.tobytes()
+    for coeff, exponent in [(0.0, 1.0), (-K1, 2.0), (np.inf, 1.0),
+                            (np.nan, 2.0), (K1, 0.5), (K1, np.nan),
+                            (K1, np.inf)]:
+        with pytest.raises(ValueError):
+            RateLaw(coeff, exponent)
 
 
 def test_invert_monotone_cubic():
@@ -225,6 +241,10 @@ def test_kinetics_from_dict_rejects_bad_specs():
     with pytest.raises(ValueError):
         kinetics_from_dict({"name": "dimerisation", "k1": -1.0, "k2": K2,
                             "a": DIFF_U, "b": DIFF_V, "k": 1.0})
+    with pytest.raises(ValueError, match="domain_bound"):
+        kinetics_from_dict({"name": "dimerisation", "k1": K1, "k2": K2,
+                            "a": DIFF_U, "b": DIFF_V, "k": 1.0,
+                            "domain_bound": 1e6})
 
 
 def test_rate_factor_zero_allowed():
