@@ -13,8 +13,7 @@ from .kinetics import (DimerisationKinetics, Kinetics, RateLaw,
                        closed_form_discrepancy, dimerisation_g_closed_form,
                        dimerisation_kinetics, dimerisation_u_closed_form,
                        invert_monotone, kinetics_from_dict, power_law_kinetics)
-from .limit import (WState, WTrajectory, integrate_w, project_initial_w,
-                    step_w, write_w_csv)
+from .limit import WState, integrate_w, project_initial_w, step_w, write_w_csv
 from .mesh import (Mesh, TimeGrid, build_time_grid_ramped,
                    build_time_grid_uniform, build_uniform_1d,
                    write_mesh_csv)
@@ -35,7 +34,7 @@ __all__ = [
     "State", "StepStats", "SolverConfig", "Trajectory", "project_initial",
     "residual", "step", "integrate", "ode_upper_solution",
     "write_trajectory_csv", "write_stats_csv",
-    "WState", "WTrajectory", "project_initial_w", "step_w", "integrate_w",
+    "WState", "project_initial_w", "step_w", "integrate_w",
     "write_w_csv",
     "conserved_mass", "l1_distance", "gradient_energy", "reaction_defect",
     "lyapunov", "lyapunov_series", "compare_to_limit", "translate_seminorms",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinetics import Kinetics, RateLaw
-from .limit import WTrajectory
 from .mesh import Mesh, TimeGrid
 from .scheme import State, Trajectory
 
@@ -192,7 +191,7 @@ def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
 # -- distance to the fast-reaction limit ------------------------------------
 
 def compare_to_limit(kin: Kinetics, traj: Trajectory,
-                     wtraj: WTrajectory) -> dict:
+                     wtraj: Trajectory) -> dict:
     """Max-norm distance between the coupled final state and the equilibrium
     state reconstructed from the limit solver's final conserved variable:
 
@@ -384,7 +383,7 @@ class DiagnosticsReport:
 
 
 def diagnostics_report(mesh: Mesh, grid: TimeGrid, kin: Kinetics,
-                       traj: Trajectory, wtraj: WTrajectory | None = None,
+                       traj: Trajectory, wtraj: Trajectory | None = None,
                        entropy: bool = True, reference=None,
                        shifts=(), lags=()) -> DiagnosticsReport:
     """Assemble the full report for a coupled trajectory recorded at every

@@ -171,11 +171,12 @@ class Kinetics:
     def __post_init__(self):
         for name in ("alpha", "beta", "diff_u", "diff_v"):
             val = getattr(self, name)
-            if not val > 0:
-                raise ValueError(f"{name} must be positive, got {val!r}")
-        if self.rate_factor < 0:
-            raise ValueError(
-                f"rate_factor must be nonnegative, got {self.rate_factor!r}")
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {val!r}")
+        if not (math.isfinite(self.rate_factor) and self.rate_factor >= 0):
+            raise ValueError(f"rate_factor must be finite and nonnegative, "
+                             f"got {self.rate_factor!r}")
 
     @property
     def alpha_hat(self) -> float:
@@ -251,25 +252,25 @@ class Kinetics:
         out = self.v_from_u(self.u_from_w(w_arr, tol=tol))
         return out.item() if scalar else out
 
-    def _flux_state(self, w_arr: np.ndarray, tol: float):
+    def _flux_state(self, w_arr: np.ndarray):
         """Equilibrium (u, v) of w_arr and the flux potential there."""
-        u = self.u_from_w(w_arr, tol=tol)
+        u = self.u_from_w(w_arr)
         v = self.v_from_u(u)
         return u, v, (self.diff_u / self.alpha) * u + (self.diff_v / self.beta) * v
 
-    def flux_potential(self, w, tol: float = TOL_INV):
+    def flux_potential(self, w):
         """Nonlinear diffusion flux potential of the fast-reaction regime:
         (diff_u/alpha) u + (diff_v/beta) v evaluated on the equilibrium
         state with conserved variable w."""
         w_arr, scalar = _as_array(w)
-        out = self._flux_state(w_arr, tol)[2]
+        out = self._flux_state(w_arr)[2]
         return out.item() if scalar else out
 
-    def flux_potential_deriv(self, w, tol: float = TOL_INV):
+    def flux_potential_deriv(self, w):
         """d(flux_potential)/dw; see ``flux_potential_and_deriv``."""
-        return self.flux_potential_and_deriv(w, tol)[1]
+        return self.flux_potential_and_deriv(w)[1]
 
-    def flux_potential_and_deriv(self, w, tol: float = TOL_INV):
+    def flux_potential_and_deriv(self, w):
         """The flux potential phi(w) and its slope phi'(w) from one
         equilibrium inversion (one ``u_from_w`` and one ``v_from_u``).
 
@@ -281,7 +282,7 @@ class Kinetics:
         Falls back to a one-sided difference where both derivatives vanish.
         """
         w_arr, scalar = _as_array(w)
-        u, v, phi = self._flux_state(w_arr, tol)
+        u, v, phi = self._flux_state(w_arr)
         rup = self.rate_u.deriv(u)
         rvp = self.rate_v.deriv(v)
         num = (self.diff_u / self.alpha) * rvp + (self.diff_v / self.beta) * rup

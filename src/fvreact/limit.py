@@ -15,11 +15,15 @@ enforced as post-conditions within numerical slack.
 
 phi is evaluated through its odd extension (phi(-s) := -phi(s)) so line
 searches survive transiently negative iterates.
+
+Only the state, the residual and its tridiagonal Newton correction live
+here.  The diffusion operator, the residual norm, the initial projection,
+the marching loop and ``Trajectory`` are the coupled scheme's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +31,12 @@ from ._newton import damped_newton, lapack_solve
 from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
-from .scheme import (SolverConfig, StepStats, _cell_averages, _output_set,
-                     _step_failure, _write_cell_csv)
+from .scheme import (SolverConfig, StepStats, Trajectory, _CellState,
+                     _check_step, _march, _scaled_norm, _step_failure,
+                     _write_cell_csv, project_initial)
 
 __all__ = [
     "WState",
-    "WTrajectory",
     "project_initial_w",
     "step_w",
     "integrate_w",
@@ -41,61 +45,23 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class WState:
+class WState(_CellState):
     """Cellwise conserved variable at one time level."""
+
+    fields = ("w",)
 
     w: np.ndarray
     level: int
     time: float
 
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.ndim != 1:
-            raise ValueError("w must be a 1D array")
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("state contains non-finite values")
-        if self.level < 0 or self.time < 0:
-            raise ValueError("level and time must be nonnegative")
-
-    @property
-    def n_cells(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(eq=False)
-class WTrajectory:
-    states: list[WState]
-    stats: list[StepStats] = field(default_factory=list)
-
-    @property
-    def levels(self) -> list[int]:
-        return [s.level for s in self.states]
-
-    @property
-    def final(self) -> WState:
-        return self.states[-1]
-
-    def state_at(self, level: int) -> WState:
-        for s in self.states:
-            if s.level == level:
-                return s
-        raise KeyError(f"level {level} not recorded in trajectory")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        levels = np.array([s.level for s in self.states], dtype=int)
-        times = np.array([s.time for s in self.states], dtype=float)
-        w = np.vstack([s.w for s in self.states]) if self.states else np.empty((0, 0))
-        return levels, times, w
-
 
 def project_initial_w(mesh: Mesh, kin: Kinetics, u0, v0,
                       n_quad: int = 1) -> WState:
-    """Cell averages of u0/alpha + v0/beta, using the same quadrature as the
-    coupled solver's projection so the two problems start from identical
-    discrete mass."""
-    u = _cell_averages(mesh, u0, n_quad, "u0")
-    v = _cell_averages(mesh, v0, n_quad, "v0")
-    return WState(w=u / kin.alpha + v / kin.beta, level=0, time=0.0)
+    """Cell averages of u0/alpha + v0/beta, formed from the coupled
+    solver's projection so the two problems start from identical discrete
+    mass."""
+    s = project_initial(mesh, u0, v0, n_quad)
+    return WState(w=s.u / kin.alpha + s.v / kin.beta, level=0, time=0.0)
 
 
 def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
@@ -110,28 +76,21 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     """
     if cfg is None:
         cfg = SolverConfig()
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if prev.n_cells != mesh.n_cells:
-        raise ValueError("state size does not match the mesh")
+    _check_step(mesh, dt, prev)
     m = mesh.volumes
-    n = mesh.n_cells
-    lap = mesh.laplacian()
 
     last = {}
 
     def residual_fn(w):
         phi, phip = kin.flux_potential_and_deriv(np.abs(w))
         last["w"], last["phip"] = w, phip
-        return m * (w - prev.w) + dt * (lap @ (np.sign(w) * phi))
+        return m * (w - prev.w) + dt * mesh.apply_laplacian(np.sign(w) * phi)
 
-    def norm_fn(w, r):
-        return float(np.max(np.abs(r) / (m * np.maximum(1.0, np.abs(w)))))
-
+    norm_fn = _scaled_norm(m)
     solve_fn = _make_solve_fn_w(mesh, kin, dt, last)
 
     mean = float(np.sum(m * prev.w) / np.sum(m))
-    guesses = [("", prev.w), ("mean-guess", np.full(n, mean))]
+    guesses = [("", prev.w), ("mean-guess", np.full(mesh.n_cells, mean))]
     attempts = []
     for fallback, w0 in guesses:
         result = damped_newton(w0, residual_fn, solve_fn, norm_fn,
@@ -185,29 +144,12 @@ def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float,
 
 def integrate_w(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: WState,
                 cfg: SolverConfig | None = None,
-                output_levels=None) -> WTrajectory:
+                output_levels=None) -> Trajectory:
     """March the diffusion scheme over the whole grid; see scheme.integrate
     for the output_levels convention."""
-    if initial.level != 0 or initial.time != 0.0:
-        raise ValueError("integration starts from level 0 at time 0")
-    if initial.n_cells != mesh.n_cells:
-        raise ValueError("initial state size does not match the mesh")
-    if np.any(initial.w < 0):
-        raise ValueError("initial state must be nonnegative")
-    keep = _output_set(output_levels, grid.n_steps)
-    states: list[WState] = []
-    stats: list[StepStats] = []
-    state = initial
-    if 0 in keep:
-        states.append(state)
-    for dt in grid.steps:
-        state, st = step_w(mesh, kin, float(dt), state, cfg)
-        stats.append(st)
-        if state.level in keep:
-            states.append(state)
-    return WTrajectory(states=states, stats=stats)
+    return _march(step_w, mesh, kin, grid, initial, cfg, output_levels)
 
 
-def write_w_csv(mesh: Mesh, traj: WTrajectory, path) -> None:
+def write_w_csv(mesh: Mesh, traj: Trajectory, path) -> None:
     """Write recorded states as rows (level, t, cell_id, x, w)."""
-    _write_cell_csv(mesh, traj.states, ("w",), path)
+    _write_cell_csv(mesh, traj.states, WState.fields, path)

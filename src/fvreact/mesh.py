@@ -42,7 +42,6 @@ class Mesh:
     transmissibilities: np.ndarray
     x: np.ndarray = field(init=False, repr=False)
     deg: np.ndarray = field(init=False, repr=False)
-    _laplacian: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -78,26 +77,19 @@ class Mesh:
         """Mesh size: the largest cell measure."""
         return float(self.volumes.max())
 
-    def laplacian(self):
-        """Transmissibility-weighted graph Laplacian L (sparse CSR, PSD).
+    def apply_laplacian(self, f: np.ndarray) -> np.ndarray:
+        """The discrete diffusion operator L f, where
+        (L f)_K = -sum over neighbors L of T_{K|L} (f_L - f_K).
 
-        Encodes the discrete diffusion operator: (L f)_K = -sum over
-        neighbors L of T_{K|L} (f_L - f_K).  Built once and cached;
-        construction-time work because it is loop-invariant.
+        Each row adds left neighbour, diagonal, right neighbour in that
+        order, as a CSR matrix-vector product does; the order fixes the
+        last bit of every residual, and so of every output file.
         """
-        if self._laplacian is None:
-            from scipy import sparse
-
-            n = self.n_cells
-            ka = np.arange(n - 1)
-            lb = ka + 1
-            t = self.transmissibilities
-            rows = np.concatenate([ka, lb, ka, lb])
-            cols = np.concatenate([lb, ka, ka, lb])
-            vals = np.concatenate([-t, -t, t, t])
-            self._laplacian = sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(n, n)).tocsr()
-        return self._laplacian
+        t = self.transmissibilities
+        out = self.deg * f
+        out[1:] = (-t) * f[:-1] + out[1:]
+        out[:-1] += (-t) * f[1:]
+        return out
 
 
 @dataclass(eq=False)

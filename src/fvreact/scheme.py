@@ -44,28 +44,43 @@ __all__ = [
     "write_stats_csv",
 ]
 
-@dataclass(eq=False)
-class State:
-    """Cellwise concentrations at one time level."""
 
-    u: np.ndarray
-    v: np.ndarray
-    level: int
-    time: float
+class _CellState:
+    """The checks and size shared by ``State`` and the limit solver's
+    ``WState``.  A subclass names its cellwise arrays in ``fields``; they
+    must be finite 1D float arrays of equal length."""
+
+    fields: tuple = ()
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.ndim != 1 or self.u.shape != self.v.shape:
-            raise ValueError("u and v must be 1D arrays of equal length")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("state contains non-finite values")
+        shape = None
+        for name in self.fields:
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.ndim != 1 or shape not in (None, a.shape):
+                raise ValueError(f"state arrays {self.fields} must be 1D "
+                                 "and of equal length")
+            if not np.isfinite(a).all():
+                raise ValueError("state contains non-finite values")
+            setattr(self, name, a)
+            shape = a.shape
         if self.level < 0 or self.time < 0:
             raise ValueError("level and time must be nonnegative")
 
     @property
     def n_cells(self) -> int:
-        return self.u.shape[0]
+        return getattr(self, self.fields[0]).shape[0]
+
+
+@dataclass(eq=False)
+class State(_CellState):
+    """Cellwise concentrations at one time level."""
+
+    fields = ("u", "v")
+
+    u: np.ndarray
+    v: np.ndarray
+    level: int
+    time: float
 
 
 @dataclass(frozen=True)
@@ -93,9 +108,14 @@ class StepStats:
 
 @dataclass(eq=False)
 class Trajectory:
-    """States recorded along a time grid plus per-step solver statistics."""
+    """States recorded along a time grid plus per-step solver statistics.
 
-    states: list[State]
+    The states are those of one solver: coupled ``State``s or the limit
+    solver's ``WState``s.  Each state class names its cellwise arrays in
+    ``fields``.
+    """
+
+    states: list
     stats: list[StepStats] = field(default_factory=list)
 
     @property
@@ -112,13 +132,17 @@ class Trajectory:
                 return s
         raise KeyError(f"level {level} not recorded in trajectory")
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(levels, times, U, V) with U, V shaped (n_recorded, n_cells)."""
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(levels, times, *fields), each field shaped (n_recorded, n_cells):
+        (levels, times, U, V) for coupled states, (levels, times, W) for
+        limit states."""
         levels = np.array([s.level for s in self.states], dtype=int)
         times = np.array([s.time for s in self.states], dtype=float)
-        u = np.vstack([s.u for s in self.states]) if self.states else np.empty((0, 0))
-        v = np.vstack([s.v for s in self.states]) if self.states else np.empty((0, 0))
-        return levels, times, u, v
+        if not self.states:
+            return levels, times, np.empty((0, 0)), np.empty((0, 0))
+        return levels, times, *(np.vstack([getattr(s, name)
+                                           for s in self.states])
+                                for name in type(self.states[0]).fields)
 
 
 # -- odd extension of the rate laws ---------------------------------------
@@ -172,9 +196,7 @@ def _cell_averages(mesh: Mesh, fn, n_quad: int, name: str) -> np.ndarray:
 def residual(mesh: Mesh, kin: Kinetics, dt: float,
              prev: State, guess: State) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell residual pair of the implicit step at the given guess."""
-    _check_shapes(mesh, prev, guess)
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    _check_step(mesh, dt, prev, guess)
     r = _make_residual_fn(mesh, kin, dt, prev)(
         np.concatenate([guess.u, guess.v]))
     return r[:mesh.n_cells], r[mesh.n_cells:]
@@ -185,7 +207,7 @@ def _make_residual_fn(mesh: Mesh, kin: Kinetics, dt: float, prev: State):
     stacked as [res_u, res_v]; z stacks [u, v]."""
     n = mesh.n_cells
     m = mesh.volumes
-    lap = mesh.laplacian()
+    lap = mesh.apply_laplacian
     dt_a, dt_b = dt * kin.diff_u, dt * kin.diff_v
     dt_m_ah, dt_m_bh = dt * m * kin.alpha_hat, dt * m * kin.beta_hat
 
@@ -193,15 +215,19 @@ def _make_residual_fn(mesh: Mesh, kin: Kinetics, dt: float, prev: State):
         u, v = z[:n], z[n:]
         gap = _rate_ext(kin.rate_u, u) - _rate_ext(kin.rate_v, v)
         r = np.empty(2 * n)
-        r[:n] = m * (u - prev.u) + dt_a * (lap @ u) + dt_m_ah * gap
-        r[n:] = m * (v - prev.v) + dt_b * (lap @ v) - dt_m_bh * gap
+        r[:n] = m * (u - prev.u) + dt_a * lap(u) + dt_m_ah * gap
+        r[n:] = m * (v - prev.v) + dt_b * lap(v) - dt_m_bh * gap
         return r
 
     return residual_fn
 
 
-def _check_shapes(mesh, prev, guess):
-    if prev.n_cells != mesh.n_cells or guess.n_cells != mesh.n_cells:
+def _check_step(mesh: Mesh, dt: float, *states) -> None:
+    """Reject a negative dt and states whose size does not match the mesh;
+    shared by both solvers' steps."""
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    if any(s.n_cells != mesh.n_cells for s in states):
         raise ValueError("state size does not match the mesh")
 
 
@@ -244,11 +270,13 @@ def _make_solve_fn(mesh: Mesh, kin: Kinetics, dt: float):
     return solve_fn
 
 
-def _scaled_norm(mesh: Mesh):
-    m2 = np.concatenate([mesh.volumes, mesh.volumes])
+def _scaled_norm(weights: np.ndarray):
+    """Return norm_fn(z, r) = max |r| / (weights max(1, |z|)), the scaled
+    residual both Newton kernels test against newton_tol."""
 
     def norm_fn(z, r):
-        return float(np.max(np.abs(r) / (m2 * np.maximum(1.0, np.abs(z)))))
+        return float(np.max(np.abs(r)
+                            / (weights * np.maximum(1.0, np.abs(z)))))
 
     return norm_fn
 
@@ -266,13 +294,12 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
     """
     if cfg is None:
         cfg = SolverConfig()
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    _check_shapes(mesh, prev, prev)
+    _check_step(mesh, dt, prev)
     n = mesh.n_cells
+    m2 = np.concatenate([mesh.volumes, mesh.volumes])
     result = damped_newton(np.concatenate([prev.u, prev.v]),
                            _make_residual_fn(mesh, kin, dt, prev),
-                           _make_solve_fn(mesh, kin, dt), _scaled_norm(mesh),
+                           _make_solve_fn(mesh, kin, dt), _scaled_norm(m2),
                            tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     if not result.converged:
         raise _step_failure("coupled", prev, dt, kin, [
@@ -336,24 +363,28 @@ def integrate(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: State,
     output_levels: None records every level; otherwise an iterable of level
     indices to record (the final level is always included).
     """
+    return _march(step, mesh, kin, grid, initial, cfg, output_levels)
+
+
+def _march(step_fn, mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial,
+           cfg: SolverConfig | None, output_levels) -> Trajectory:
+    """Apply ``step_fn`` over every step of the grid from a nonnegative
+    level-0 state, recording the levels ``output_levels`` selects."""
     if initial.level != 0 or initial.time != 0.0:
         raise ValueError("integration starts from level 0 at time 0")
     if initial.n_cells != mesh.n_cells:
         raise ValueError("initial state size does not match the mesh")
-    if np.any(initial.u < 0) or np.any(initial.v < 0):
+    if any(np.any(getattr(initial, name) < 0) for name in initial.fields):
         raise ValueError("initial state must be nonnegative")
     keep = _output_set(output_levels, grid.n_steps)
-    states: list[State] = []
-    stats: list[StepStats] = []
+    traj = Trajectory(states=[initial] if 0 in keep else [])
     state = initial
-    if 0 in keep:
-        states.append(state)
     for dt in grid.steps:
-        state, st = step(mesh, kin, float(dt), state, cfg)
-        stats.append(st)
+        state, st = step_fn(mesh, kin, float(dt), state, cfg)
+        traj.stats.append(st)
         if state.level in keep:
-            states.append(state)
-    return Trajectory(states=states, stats=stats)
+            traj.states.append(state)
+    return traj
 
 
 def _output_set(output_levels, n_steps: int) -> set[int]:
@@ -383,28 +414,23 @@ def ode_upper_solution(kin: Kinetics, grid: TimeGrid, u_bound: float,
     """
     if u_bound < 0 or v_bound < 0:
         raise ValueError("bounds must be nonnegative")
-    cell = build_uniform_1d(1.0, 1)
-    state = State(u=[float(u_bound)], v=[float(v_bound)], level=0, time=0.0)
-    ubar = np.empty(grid.n_steps + 1)
-    vbar = np.empty(grid.n_steps + 1)
-    ubar[0], vbar[0] = u_bound, v_bound
-    for i, dt in enumerate(grid.steps, start=1):
-        state, _ = step(cell, kin, float(dt), state, cfg)
-        ubar[i] = state.u[0]
-        vbar[i] = state.v[0]
-    return ubar, vbar
+    initial = State(u=[float(u_bound)], v=[float(v_bound)], level=0,
+                    time=0.0)
+    _, _, ubar, vbar = _march(step, build_uniform_1d(1.0, 1), kin, grid,
+                              initial, cfg, None).arrays()
+    return ubar[:, 0], vbar[:, 0]
 
 
 # -- CSV export --------------------------------------------------------------
 
 def write_trajectory_csv(mesh: Mesh, traj: Trajectory, path) -> None:
     """Write recorded states as rows (level, t, cell_id, x, u, v)."""
-    _write_cell_csv(mesh, traj.states, ("u", "v"), path)
+    _write_cell_csv(mesh, traj.states, State.fields, path)
 
 
 def _write_cell_csv(mesh: Mesh, states, names, path) -> None:
-    """Write one row (level, t, cell_id, x, *names) per state and cell; each
-    name is also the state attribute that holds that column.
+    """Write one row (level, t, cell_id, x, *names) per state and cell;
+    ``names`` are the state class's ``fields``.
 
     The bytes are those ``csv.writer`` writes for the same rows of repr'd
     floats: no field needs quoting, and rows end in its default "\r\n".

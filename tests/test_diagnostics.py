@@ -8,7 +8,7 @@ from fvreact.diagnostics import (DiagnosticsReport, compare_to_limit,
                                  lyapunov_series, reaction_defect,
                                  translate_seminorms)
 from fvreact.kinetics import dimerisation_kinetics, power_law_kinetics
-from fvreact.limit import WState, WTrajectory, integrate_w, project_initial_w
+from fvreact.limit import WState, integrate_w, project_initial_w
 from fvreact.mesh import (TimeGrid, build_time_grid_uniform,
                           build_uniform_1d)
 from fvreact.scheme import State, Trajectory, integrate, project_initial
@@ -247,7 +247,7 @@ def test_compare_to_limit_manufactured_exact():
     v_f = np.asarray(kin.v_from_u(u_f))
     w_f = u_f / 2.0 + v_f
     traj = Trajectory(states=[State(u=u_f, v=v_f, level=1, time=5.0)], stats=())
-    wtraj = WTrajectory(states=[WState(w=w_f, level=1, time=5.0)], stats=())
+    wtraj = Trajectory(states=[WState(w=w_f, level=1, time=5.0)], stats=())
     out = compare_to_limit(kin, traj, wtraj)
     assert out["final_time"] == pytest.approx(5.0)
     assert out["J_u"] == pytest.approx(0.0, abs=1e-11)
@@ -260,8 +260,8 @@ def test_compare_to_limit_detects_time_mismatch():
     kin = dimer()
     traj = Trajectory(states=[State(u=np.full(3, 0.1), v=np.full(3, 0.1),
                                     level=1, time=4.0)], stats=())
-    wtraj = WTrajectory(states=[WState(w=np.full(3, 0.15),
-                                       level=1, time=5.0)], stats=())
+    wtraj = Trajectory(states=[WState(w=np.full(3, 0.15),
+                                      level=1, time=5.0)], stats=())
     with pytest.raises(ValueError):
         compare_to_limit(kin, traj, wtraj)
 

@@ -255,6 +255,20 @@ def test_cli_validate_config_ok(tmp_path):
     assert "config OK" in proc.stdout
 
 
+@pytest.mark.parametrize("field, value", [("k", float("nan")),
+                                          ("k", float("inf")),
+                                          ("a", float("inf"))])
+def test_cli_validate_config_non_finite_kinetics(tmp_path, field, value):
+    raw = tiny_config()
+    raw["kinetics"][field] = value
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))   # written as NaN / Infinity
+    proc = run_cli("validate-config", "-c", str(cfg_path))
+    assert proc.returncode == 2
+    assert "config OK" not in proc.stdout
+    assert proc.stderr.startswith("config error: kinetics: ")
+
+
 def test_cli_validate_config_bad_field(tmp_path):
     raw = tiny_config()
     raw["mesh"]["n_cells"] = -3

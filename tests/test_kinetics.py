@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fvreact.errors import NonConvergenceError
-from fvreact.kinetics import (TOL_INV, RateLaw, closed_form_discrepancy,
+from fvreact.kinetics import (TOL_INV, Kinetics, RateLaw,
+                              closed_form_discrepancy,
                               dimerisation_g_closed_form,
                               dimerisation_kinetics,
                               dimerisation_u_closed_form, invert_monotone,
@@ -256,6 +259,18 @@ def test_rate_factor_zero_allowed():
 def test_negative_rate_factor_rejected():
     with pytest.raises(ValueError):
         dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V, rate_factor=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name",
+                         ["alpha", "beta", "diff_u", "diff_v", "rate_factor"])
+def test_kinetics_rejects_non_finite_parameters(name, bad):
+    good = dict(alpha=2.0, beta=1.0, diff_u=DIFF_U, diff_v=DIFF_V,
+                rate_u=RateLaw(K1, 2.0), rate_v=RateLaw(K2, 1.0),
+                rate_factor=1.0)
+    Kinetics(**good)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Kinetics(**{**good, name: bad})
 
 
 # the published closed forms are kept verbatim as a cross-check channel;

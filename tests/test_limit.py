@@ -8,8 +8,8 @@ from fvreact.errors import NonConvergenceError
 from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
                               power_law_kinetics)
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
-from fvreact.limit import (WState, WTrajectory, integrate_w,
-                           project_initial_w, step_w, write_w_csv)
+from fvreact.limit import (WState, integrate_w, project_initial_w, step_w,
+                           write_w_csv)
 from fvreact.scheme import (State, SolverConfig, Trajectory, integrate,
                             project_initial, write_trajectory_csv)
 
@@ -206,8 +206,8 @@ def test_trajectory_writers_match_csv_writer(tmp_path):
     traj = Trajectory(states=[State(u=np.roll(a, i), v=np.roll(b, i),
                                     level=i, time=t)
                               for i, t in enumerate(times)])
-    wtraj = WTrajectory(states=[WState(w=np.roll(a, i), level=i, time=t)
-                                for i, t in enumerate(times)])
+    wtraj = Trajectory(states=[WState(w=np.roll(a, i), level=i, time=t)
+                               for i, t in enumerate(times)])
     x = mesh.x
     rows = [[s.level, repr(float(s.time)), k, repr(float(x[k])),
              repr(float(s.u[k])), repr(float(s.v[k]))]

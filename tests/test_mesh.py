@@ -43,9 +43,30 @@ def test_measures_sum_to_domain_length():
     assert np.sum(mesh.volumes) == pytest.approx(0.37, rel=1e-14)
 
 
+def _dense_laplacian(mesh):
+    # column j is L applied to the j-th unit vector
+    return np.column_stack([mesh.apply_laplacian(e)
+                            for e in np.eye(mesh.n_cells)])
+
+
+def _csr_laplacian(mesh):
+    # the CSR matrix Mesh once built and multiplied by: the reference whose
+    # row sums apply_laplacian reproduces bit for bit
+    from scipy import sparse
+
+    n = mesh.n_cells
+    ka = np.arange(n - 1)
+    lb = ka + 1
+    t = mesh.transmissibilities
+    rows = np.concatenate([ka, lb, ka, lb])
+    cols = np.concatenate([lb, ka, ka, lb])
+    vals = np.concatenate([-t, -t, t, t])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def test_laplacian_row_sums_vanish():
     mesh = build_uniform_1d(1.0, 8)
-    lap = mesh.laplacian().toarray()
+    lap = _dense_laplacian(mesh)
     assert np.allclose(lap.sum(axis=1), 0.0)
     assert np.allclose(lap, lap.T)
     # constant field is in the kernel
@@ -57,7 +78,7 @@ def test_laplacian_matches_face_double_sum():
     rng = np.random.default_rng(42)
     mesh = build_uniform_1d(2.0, 17)
     f = rng.uniform(-1, 1, size=17)
-    lhs = float(f @ (mesh.laplacian() @ f))
+    lhs = float(f @ mesh.apply_laplacian(f))
     # face i joins cells i and i + 1
     rhs = float(np.sum(mesh.transmissibilities * (f[1:] - f[:-1]) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -65,9 +86,31 @@ def test_laplacian_matches_face_double_sum():
 
 def test_laplacian_diagonal_is_deg():
     mesh = build_uniform_1d(1.0, 5)
-    assert np.array_equal(mesh.laplacian().diagonal(), mesh.deg)
+    assert np.array_equal(np.diag(_dense_laplacian(mesh)), mesh.deg)
     assert np.allclose(mesh.deg, [5.0, 10.0, 10.0, 10.0, 5.0])
     assert np.array_equal(build_uniform_1d(1.0, 1).deg, [0.0])
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 50])
+def test_apply_laplacian_equals_csr_matvec(n, uniform):
+    # apply_laplacian sums each row as the CSR product does (left
+    # neighbour, diagonal, right neighbour), so the two agree bit for bit
+    rng = np.random.default_rng([n, uniform])
+    if uniform:
+        mesh = build_uniform_1d(0.1, n)
+    else:
+        edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n))])
+        x = 0.5 * (edges[:-1] + edges[1:])
+        mesh = Mesh(edges=edges, volumes=np.diff(edges),
+                    transmissibilities=1.0 / np.diff(x))
+    lap = _csr_laplacian(mesh)
+    for _ in range(20):
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        for f in (rng.choice([-1.0, 1.0], n) * mags,
+                  rng.uniform(-1.0, 1.0, n),
+                  np.full(n, -3.7)):
+            assert np.array_equal(mesh.apply_laplacian(f), lap @ f)
 
 
 def test_mesh_rejects_inconsistent_shapes():

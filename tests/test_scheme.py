@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -184,10 +185,9 @@ def test_banded_correction_matches_fd_jacobian(n_cells, k):
 
     w_prev = prev.u / kin.alpha + prev.v / kin.beta
     w = z[:n_cells] / kin.alpha + z[n_cells:] / kin.beta
-    lap = mesh.laplacian()
-
     def limit_residual(w):
-        return mesh.volumes * (w - w_prev) + dt * (lap @ kin.flux_potential(w))
+        return (mesh.volumes * (w - w_prev)
+                + dt * mesh.apply_laplacian(kin.flux_potential(w)))
 
     delta_w = limit._make_solve_fn_w(mesh, kin, dt)(w, r[:n_cells])
     expect_w = np.linalg.solve(_fd_jacobian(limit_residual, w), r[:n_cells])
@@ -349,6 +349,30 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_steps_do_not_load_scipy_sparse():
+    # both steps reach scipy only for LAPACK's banded solvers; the
+    # diffusion operator is Mesh.apply_laplacian, not a sparse matrix
+    import fvreact
+
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(fvreact.__file__).resolve().parents[1])}
+    code = (
+        "import json, sys\n"
+        "from fvreact import (State, WState, build_uniform_1d,\n"
+        "                     dimerisation_kinetics, limit, scheme)\n"
+        "mesh = build_uniform_1d(0.1, 8)\n"
+        "kin = dimerisation_kinetics(1.072e-4, 2.363e-6, 1.579e-9, 1.042e-9)\n"
+        "u = [0.1 * (i % 3) for i in range(8)]\n"
+        "scheme.step(mesh, kin, 1e3, State(u=u, v=u, level=0, time=0.0))\n"
+        "limit.step_w(mesh, kin, 1e3, WState(w=u, level=0, time=0.0))\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert any(m.startswith("scipy.linalg") for m in loaded)
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 def test_step_reports_nonconvergence():
