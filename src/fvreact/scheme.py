@@ -135,7 +135,8 @@ class Trajectory:
     def arrays(self) -> tuple[np.ndarray, ...]:
         """(levels, times, *fields), each field shaped (n_recorded, n_cells):
         (levels, times, U, V) for coupled states, (levels, times, W) for
-        limit states."""
+        limit states.  An empty trajectory has no state class to name its
+        fields and returns the coupled layout, two empty (0, 0) arrays."""
         levels = np.array([s.level for s in self.states], dtype=int)
         times = np.array([s.time for s in self.states], dtype=float)
         if not self.states:
