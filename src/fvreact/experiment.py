@@ -202,13 +202,7 @@ class ExperimentConfig:
         if "sweep" in raw:
             if not isinstance(raw["sweep"], list) or not raw["sweep"]:
                 raise ConfigError("sweep must be a nonempty list of rate factors")
-            vals = []
-            for i, val in enumerate(raw["sweep"]):
-                if not isinstance(val, (int, float)) or isinstance(val, bool) \
-                        or not math.isfinite(val) or val < 0:
-                    raise ConfigError(f"sweep[{i}] must be a finite number >= 0")
-                vals.append(float(val))
-            sweep_values = tuple(vals)
+            sweep_values = _float_list(raw["sweep"], "sweep")
 
         quad = raw.get("quadrature_points", 1)
         if not isinstance(quad, int) or isinstance(quad, bool) or quad < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton import damped_newton, lapack_solve
+from ._newton import NewtonResult, damped_newton, lapack_solve
 from .errors import ConsistencyError, NonConvergenceError
 from .kinetics import Kinetics, RateLaw
 from .mesh import Mesh, TimeGrid, build_uniform_1d
@@ -103,7 +103,8 @@ class StepStats:
     dt: float
     newton_iterations: int
     residual: float         # final scaled residual (max norm)
-    fallback: str = ""      # "" or, for limit steps, "mean-guess"
+    fallback: str = ""      # always "": no step has a fallback; kept
+                            # because the benchmark tracer reads it
 
 
 @dataclass(eq=False)
@@ -303,8 +304,7 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
                            _make_solve_fn(mesh, kin, dt), _scaled_norm(m2),
                            tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     if not result.converged:
-        raise _step_failure("coupled", prev, dt, kin, [
-            ("previous-state", result.iterations, result.residual)])
+        raise _step_failure("coupled", prev, dt, kin, result)
 
     u_new, v_new = result.z[:n], result.z[n:]
     _check_step_bounds(kin, prev, u_new, v_new, cfg.newton_tol)
@@ -316,19 +316,14 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
 
 
 def _step_failure(what: str, prev, dt: float, kin: Kinetics,
-                 attempts: list) -> NonConvergenceError:
-    """The error for an implicit step none of whose attempts converged.
-
-    ``attempts`` lists (guess, iterations, last scaled residual) in the
-    order tried; the error carries the last attempt's numbers.
-    """
-    tried = ", ".join(f"{tag} (residual {res!r} after {its} iterations)"
-                      for tag, its, res in attempts)
-    _, its, res = attempts[-1]
+                  result: NewtonResult) -> NonConvergenceError:
+    """The error for an implicit step whose one Newton attempt, from the
+    previous state, returned ``result`` unconverged."""
+    its, res = result.iterations, result.residual
     return NonConvergenceError(
         f"{what} step to level {prev.level + 1} at t = {prev.time + dt!r} "
         f"(dt = {dt!r}, k = {kin.rate_factor!r}) did not converge; "
-        f"tried {tried}",
+        f"tried previous-state (residual {res!r} after {its} iterations)",
         iterations=its, residual=res)
 
 

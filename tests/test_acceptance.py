@@ -7,16 +7,19 @@ dimerisation preset on 50 cells with the ramped time grid, plus the
 rate-factor sweep at the long horizon.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
+from fvreact._newton import _at_floor
 from fvreact.diagnostics import l1_distance, lyapunov_series
 from fvreact.experiment import ExperimentConfig, preset_config, sweep
 from fvreact.kinetics import (closed_form_discrepancy, dimerisation_kinetics)
-from fvreact.limit import integrate_w, project_initial_w
+from fvreact.limit import _make_solve_fn_w, integrate_w, project_initial_w
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
-from fvreact.scheme import (SolverConfig, State, integrate, project_initial,
-                            step)
+from fvreact.scheme import (SolverConfig, State, _scaled_norm, integrate,
+                            project_initial, step)
 
 TOL = SolverConfig().newton_tol
 SLACK = 10.0 * TOL
@@ -70,11 +73,17 @@ def random_trials():
 
 
 @pytest.fixture(scope="module")
-def sweep_records(tmp_path_factory):
-    """The full rate-factor sweep of the demo preset at T = 1e11 s."""
+def sweep_run(tmp_path_factory):
+    """The full rate-factor sweep of the demo preset at T = 1e11 s: its
+    output directory and records."""
     cfg = ExperimentConfig.from_dict(preset_config("dimerisation-sweep"))
     outdir = tmp_path_factory.mktemp("sweep")
-    return sweep(cfg, outdir, jobs=4, echo=None)
+    return outdir, sweep(cfg, outdir, jobs=1, echo=None)
+
+
+@pytest.fixture(scope="module")
+def sweep_records(sweep_run):
+    return sweep_run[1]
 
 
 def _mass_series(mesh, kin, states):
@@ -94,6 +103,26 @@ def test_01_conservation_on_preset(preset_run):
         assert drift < 1e-10, \
             f"FAIL: {name} solver mass drift {drift:.3e} exceeds 1e-10"
         print(f"criterion 1 [{name}]: PASS (max relative drift {drift:.3e})")
+
+
+def test_01_conservation_at_k_1e6():
+    """Criterion 1 at rate factor 1e6: the coupled solver runs the demo
+    preset to T, and its w-mass drifts < 1e-10 relative at every level.
+    Some of its steps stop at the rounding floor."""
+    raw = preset_config("dimerisation-tmax1")
+    raw["kinetics"]["k"] = 1e6
+    cfg = ExperimentConfig.from_dict(raw)
+    mesh, kin, grid = cfg.build_mesh(), cfg.build_kinetics(), cfg.build_grid()
+    u0, v0 = cfg.initial_profiles()
+    traj = integrate(mesh, kin, grid, project_initial(mesh, u0, v0),
+                     cfg.solver)
+    assert traj.final.level == grid.n_steps
+    mass = _mass_series(mesh, kin, traj.states)
+    drift = float(np.max(np.abs(mass - mass[0])) / abs(mass[0]))
+    assert drift < 1e-10, f"FAIL: mass drift {drift:.3e} exceeds 1e-10"
+    floor = sum(st.residual > TOL for st in traj.stats)
+    print(f"criterion 1 [k = 1e6]: PASS (max relative drift {drift:.3e}, "
+          f"{floor} of {grid.n_steps} steps at the rounding floor)")
 
 
 def test_02_comparison_and_contraction(random_trials):
@@ -232,6 +261,41 @@ def test_07_limit_distance_qualitative(sweep_records):
             f"FAIL: {key} fell only from {first[key]:.3e} to {last[key]:.3e}"
     js = [rec["J_u"] for rec in sweep_records]
     print(f"criterion 7: PASS (J_u spans {js[0]:.3e} ... {js[-1]:.3e})")
+
+
+def test_sweep_limit_runs_stop_at_tol_or_floor(sweep_run):
+    """The limit runs of the sweep (T = 1e11 s) take no fallback, and the
+    steps whose residual ends above newton_tol are exactly those stopped at
+    the rounding floor: at the recorded state the residual is the recorded
+    one, and the Newton correction there is at working precision."""
+    outdir, _ = sweep_run
+    cfg = ExperimentConfig.from_dict(preset_config("dimerisation-sweep"))
+    mesh, kin = cfg.build_mesh(), cfg.build_kinetics()
+    m = mesh.volumes
+    subdirs = sorted(outdir.glob("k_*"))
+    assert len(subdirs) == len(cfg.sweep_values)
+    for sub in subdirs:
+        with open(sub / "stats_w.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["fallback"] for row in rows} == {""}, sub.name
+    # the limit run does not depend on k: check the last factor's; it
+    # records every level, each as n_cells rows
+    w = np.loadtxt(subdirs[-1] / "trajectory_w.csv", delimiter=",",
+                   skiprows=1, usecols=4).reshape(len(rows) + 1, mesh.n_cells)
+    floor = [row for row in rows if float(row["residual"]) > TOL]
+    assert floor, "FAIL: no limit step reached the rounding floor"
+    for row in floor:
+        lv, dt = int(row["level"]), float(row["dt"])
+        w_new, w_old = w[lv], w[lv - 1]
+        phi = kin.flux_potential_and_deriv(np.abs(w_new))[0]
+        r = m * (w_new - w_old) + dt * mesh.apply_laplacian(np.sign(w_new)
+                                                             * phi)
+        assert _scaled_norm(m)(w_new, r) == float(row["residual"]), lv
+        delta = _make_solve_fn_w(mesh, kin, dt)(w_new, r)
+        assert _at_floor(delta, w_new), \
+            f"FAIL: level {lv} is above newton_tol, not at the floor"
+    print(f"limit runs: PASS ({len(floor)} of {len(rows)} steps at the "
+          f"rounding floor, levels {floor[0]['level']}..{floor[-1]['level']})")
 
 
 def test_08_scheme_orders_pure_diffusion():

@@ -300,13 +300,17 @@ def test_cli_run_preset_requires_exactly_one_source():
 
 
 def test_cli_solver_failure_exit_code(tmp_path):
-    raw = tiny_config(solver={"newton_tol": 1e-30, "newton_max_iter": 2})
+    # one Newton iteration cannot finish a 1e4 s first step (residual 0.06)
+    raw = tiny_config(time={"kind": "uniform", "final_time": 2e4,
+                            "n_steps": 2},
+                      solver={"newton_max_iter": 1})
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     proc = run_cli("run", "-c", str(cfg_path), "-o", str(tmp_path / "out"))
     assert proc.returncode == 3
-    assert "solver error: coupled step to level 1 at t = 1e-07" in proc.stderr
-    for part in ("dt = 1e-07", "k = 1.0", "tried previous-state (residual"):
+    assert "solver error: coupled step to level 1 at t = 10000.0" in proc.stderr
+    for part in ("dt = 10000.0", "k = 1.0", "tried previous-state (residual",
+                 "after 1 iterations)"):
         assert part in proc.stderr
     assert proc.stderr.count("(residual ") == 1
     assert "equilibrium-guess" not in proc.stderr

@@ -298,7 +298,8 @@ def test_non_finite_band_raises_solve_banded_error(monkeypatch):
 
 def test_newton_result_counts_its_callbacks(monkeypatch):
     # residual_evals and linear_solves equal the calls of the residual and
-    # solve callbacks, on a converging coupled step and a limit step
+    # solve callbacks, on a converging coupled step, a limit step and a
+    # limit step that stops at the rounding floor
     results = []
     damped_newton = scheme.damped_newton
 
@@ -326,15 +327,19 @@ def test_newton_result_counts_its_callbacks(monkeypatch):
     prev = State(u=rng.uniform(0.05, 0.5, 16), v=rng.uniform(0.05, 0.25, 16),
                  level=0, time=0.0)
     step(mesh, kin, 1e3, prev)
-    limit.step_w(mesh, kin, 1e3, limit.WState(
-        w=prev.u / kin.alpha + prev.v / kin.beta, level=0, time=0.0))
-    assert len(results) == 2
+    wprev = limit.WState(w=prev.u / kin.alpha + prev.v / kin.beta, level=0,
+                         time=0.0)
+    limit.step_w(mesh, kin, 1e3, wprev)
+    limit.step_w(mesh, kin, 1e10, wprev)
+    assert len(results) == 3
     for result, calls in results:
         assert result.converged
         assert result.residual_evals == calls["residual"]
         assert result.linear_solves == calls["solve"]
         assert result.residual_evals > result.linear_solves >= \
             result.iterations > 0
+    assert [r.residual > SolverConfig().newton_tol
+            for r, _ in results] == [False, False, True]
 
 
 def test_import_does_not_load_scipy():
@@ -389,7 +394,7 @@ def test_step_reports_nonconvergence():
     rng = np.random.default_rng(11)
     prev = State(u=rng.uniform(0, 0.5, 8), v=rng.uniform(0, 0.25, 8),
                  level=0, time=0.0)
-    # an absurd tolerance is unreachable: the one Newton attempt fails
+    # two iterations cannot finish a 1e4 s step: the one attempt fails
     cfg = SolverConfig(newton_tol=1e-30, newton_max_iter=2)
     prev = State(u=prev.u, v=prev.v, level=7, time=3.0)
     with pytest.raises(NonConvergenceError) as info:
@@ -403,6 +408,28 @@ def test_step_reports_nonconvergence():
     assert info.value.residual == pytest.approx(
         float(msg.rsplit("(residual ", 1)[1].split()[0]))
     assert info.value.residual > 0 and info.value.iterations > 0
+
+
+def test_linear_step_converges_at_the_rounding_floor():
+    # k = 0 on 50 cells from rough data with dt = 2.6e7 s: double precision
+    # cannot bring the scaled residual to newton_tol, so a step stops once
+    # its Newton correction is at working precision, inside the envelope
+    # and with each species' mass kept
+    mesh = build_uniform_1d(0.1, 50)
+    kin = dimer(k=0.0)
+    tol = SolverConfig().newton_tol
+    floor_steps = 0
+    for seed in (9, 10, 15, 45):
+        rng = np.random.default_rng(seed)
+        prev = State(u=rng.uniform(0.0, 0.5, 50), v=rng.uniform(0.0, 0.25, 50),
+                     level=0, time=0.0)
+        new, stats = step(mesh, kin, 2.6e7, prev)
+        scheme._check_step_bounds(kin, prev, new.u, new.v, tol)
+        for a, b in ((prev.u, new.u), (prev.v, new.v)):
+            assert np.sum(mesh.volumes * b) == pytest.approx(
+                np.sum(mesh.volumes * a), rel=1e-13)
+        floor_steps += stats.residual > tol
+    assert floor_steps > 0
 
 
 def test_step_never_inverts_the_equilibrium_map(monkeypatch):
