@@ -17,6 +17,7 @@ class NewtonResult:
     converged: bool
     residual_evals: int   # calls of residual_fn
     linear_solves: int    # calls of solve_fn
+    history: tuple        # scaled residual at z0 and after each step taken
 
 
 @cache
@@ -80,11 +81,13 @@ def damped_newton(z0: np.ndarray,
     sitting at their floating-point floor rather than just under ``tol``.
 
     ``iterations`` counts every correction before convergence, taken or
-    not, and the polish steps taken.
+    not, and the polish steps taken; ``history`` holds the norm at ``z0``
+    and after each step taken.
     """
     z = np.array(z0, dtype=float, copy=True)
     r = residual_fn(z)
     res = float(norm_fn(z, r))
+    history = [res]
     iters, evals, solves, polished = 0, 1, 0, 0
     converged = res <= tol
     while polished < 2 if converged else iters < max_iter:
@@ -103,7 +106,8 @@ def damped_newton(z0: np.ndarray,
             if np.isfinite(res_try) and res_try < res:
                 break
             if lam == 1.0 and not converged and _at_floor(delta, z):
-                return NewtonResult(z, iters + 1, res, True, evals, solves)
+                return NewtonResult(z, iters + 1, res, True, evals, solves,
+                                    tuple(history))
         else:
             if not converged:
                 iters += 1
@@ -111,9 +115,11 @@ def damped_newton(z0: np.ndarray,
         if converged:
             polished = polished + 1 if res_try < 0.5 * res else 2
         z, r, res = z_try, r_try, res_try
+        history.append(res)
         iters += 1
         converged = res <= tol
-    return NewtonResult(z, iters, res, converged, evals, solves)
+    return NewtonResult(z, iters, res, converged, evals, solves,
+                        tuple(history))
 
 
 def _at_floor(delta: np.ndarray, z: np.ndarray) -> bool:

@@ -47,6 +47,11 @@ __all__ = [
 
 _PRESET_IC = "demo-bands"
 
+# Upper bounds on config integers, checked before anything is allocated:
+# far beyond any useful run, and below sizes that crash the allocation.
+MAX_UNIFORM_STEPS = 10 ** 6
+MAX_QUADRATURE_POINTS = 100
+
 # Reversible dimerisation demo: a silane monomer/dimer pair.
 _DEMO_KINETICS = {
     "name": "dimerisation",
@@ -161,7 +166,8 @@ class ExperimentConfig:
             for bad in ("initial_step", "growth", "limit_initial_step"):
                 if bad in time_d:
                     raise ConfigError(f"time.{bad} does not apply to uniform grids")
-            n_steps = _integer(time_d, "time.n_steps", minimum=1)
+            n_steps = _integer(time_d, "time.n_steps", minimum=1,
+                               maximum=MAX_UNIFORM_STEPS)
         elif kind == "ramped":
             if "n_steps" in time_d:
                 raise ConfigError("time.n_steps does not apply to ramped grids")
@@ -204,9 +210,8 @@ class ExperimentConfig:
                 raise ConfigError("sweep must be a nonempty list of rate factors")
             sweep_values = _float_list(raw["sweep"], "sweep")
 
-        quad = raw.get("quadrature_points", 1)
-        if not isinstance(quad, int) or isinstance(quad, bool) or quad < 1:
-            raise ConfigError("quadrature_points must be a positive integer")
+        quad = _integer(raw, "quadrature_points", 1, MAX_QUADRATURE_POINTS) \
+            if "quadrature_points" in raw else 1
 
         out_d = _section(raw, "output", {"levels"}) if "output" in raw else {}
         levels = out_d.get("levels", "all")
@@ -332,10 +337,12 @@ def _number(d: dict, path: str, positive: bool = False) -> float:
     return float(val)
 
 
-def _integer(d: dict, path: str, minimum: int) -> int:
+def _integer(d: dict, path: str, minimum: int, maximum=math.inf) -> int:
     val = d[path.split(".")[-1]]
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise ConfigError(f"{path} must be an integer >= {minimum}")
+    if not isinstance(val, int) or isinstance(val, bool) \
+            or not minimum <= val <= maximum:
+        raise ConfigError(
+            f"{path} must be an integer in [{minimum}, {maximum}]")
     return val
 
 

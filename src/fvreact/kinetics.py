@@ -6,14 +6,14 @@ Where the gap closes, v is a function of u (``v_from_u``), the conserved
 combination w = u/alpha + v/beta is an increasing function of u
 (``w_from_u``), and the whole equilibrium state is recoverable from w alone
 (``u_from_w``, ``v_from_w``).  The effective nonlinear diffusion flux of the
-fast-reaction regime is packaged as ``flux_potential``; its slope comes
-with it from the same inversion in ``flux_potential_and_deriv``.
+fast-reaction regime is packaged as ``flux_potential``.
 
 Every rate law is a power law c s^p with c > 0 and p >= 1 (``RateLaw``),
-so r_v has a closed-form inverse and ``v_from_u`` is one expression.  The
-remaining inversion, ``u_from_w``, uses safeguarded Newton iteration with a
-bisection fallback on a guaranteed bracket, so it does not depend on
-starting guesses.
+so r_v has a closed-form inverse, ``v_from_u`` is one expression, and w and
+the flux potential are explicit in the equilibrium value z of one species
+(``maps_in_z``), the limit solver's unknown.  The inversion ``u_from_w``
+uses safeguarded Newton iteration with a bisection fallback on a
+guaranteed bracket, so it does not depend on starting guesses.
 """
 
 from __future__ import annotations
@@ -196,19 +196,6 @@ class Kinetics:
         out = self.rate_v.inverse(self.rate_u.value(u_arr))
         return out.item() if scalar else out
 
-    def v_from_u_deriv(self, u):
-        """Chain rule d(v_from_u)/du = r_u'(u) / r_v'(v_from_u(u)).
-
-        Where both derivatives vanish (possible only at u = 0 for rate laws
-        that are flat there) the ratio is ill-defined; callers needing a
-        value at exactly 0 should special-case it.
-        """
-        u_arr, scalar = _as_array(u)
-        v = self.v_from_u(u_arr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.rate_u.deriv(u_arr) / self.rate_v.deriv(v)
-        return out.item() if scalar else out
-
     def w_from_u(self, u):
         """Conserved variable of the equilibrium state with given u:
         w = u/alpha + v_from_u(u)/beta.  Strictly increasing in u."""
@@ -252,57 +239,53 @@ class Kinetics:
         out = self.v_from_u(self.u_from_w(w_arr, tol=tol))
         return out.item() if scalar else out
 
-    def _flux_state(self, w_arr: np.ndarray):
-        """Equilibrium (u, v) of w_arr and the flux potential there."""
-        u = self.u_from_w(w_arr)
-        v = self.v_from_u(u)
-        return u, v, (self.diff_u / self.alpha) * u + (self.diff_v / self.beta) * v
+    def maps_in_z(self):
+        """w and the flux potential of the equilibrium state, W(z) and
+        Phi(z), as functions of z, the equilibrium u when p >= q and v when
+        p < q.  The other species is c z^e with e = max(p, q)/min(p, q) >= 1,
+        so W, Phi and their slopes are closed forms, finite at z = 0.
+        Returns ``values(z) -> (W, Phi)`` and ``slopes(z) -> (W', Phi')``,
+        odd-extended (W(-z) = -W(z)) so a line search may cross 0."""
+        p, q = self.rate_u.exponent, self.rate_v.exponent
+        ca, cb = self.rate_u.coeff, self.rate_v.coeff
+        au, av = 1.0 / self.alpha, 1.0 / self.beta
+        du, dv = self.diff_u * au, self.diff_v * av
+        if p >= q:
+            other = RateLaw((ca / cb) ** (1.0 / q), p / q)
+            wz, wo, fz, fo = au, av, du, dv
+        else:
+            other = RateLaw((cb / ca) ** (1.0 / p), q / p)
+            wz, wo, fz, fo = av, au, dv, du
+
+        def values(z):
+            o = np.sign(z) * other.value(np.abs(z))
+            return wz * z + wo * o, fz * z + fo * o
+
+        def slopes(z):
+            op = other.deriv(np.abs(z))
+            return wz + wo * op, fz + fo * op
+
+        return values, slopes
+
+    def z_from_w(self, w):
+        """z of ``maps_in_z`` at w >= 0, from one ``u_from_w`` inversion."""
+        u = self.u_from_w(w)
+        return u if self.rate_u.exponent >= self.rate_v.exponent \
+            else self.v_from_u(u)
 
     def flux_potential(self, w):
         """Nonlinear diffusion flux potential of the fast-reaction regime:
-        (diff_u/alpha) u + (diff_v/beta) v evaluated on the equilibrium
-        state with conserved variable w."""
+        (diff_u/alpha) u + (diff_v/beta) v on the equilibrium state with
+        conserved variable w, that is Phi(z(w))."""
         w_arr, scalar = _as_array(w)
-        out = self._flux_state(w_arr)[2]
+        out = self.maps_in_z()[0](self.z_from_w(w_arr))[1]
         return out.item() if scalar else out
 
     def flux_potential_deriv(self, w):
-        """d(flux_potential)/dw; see ``flux_potential_and_deriv``."""
-        return self.flux_potential_and_deriv(w)[1]
-
-    def flux_potential_and_deriv(self, w):
-        """The flux potential phi(w) and its slope phi'(w) from one
-        equilibrium inversion (one ``u_from_w`` and one ``v_from_u``).
-
-        The slope is the chain rule, written with both rate derivatives in
-        numerator and denominator so an infinite slope of v_from_u cancels
-        instead of overflowing:
-        phi' = (diff_u/alpha r_v' + diff_v/beta r_u')
-             / (r_v'/alpha + r_u'/beta).
-        Falls back to a one-sided difference where both derivatives vanish.
-        """
+        """d(flux_potential)/dw = Phi'(z) / W'(z) at z = z(w)."""
         w_arr, scalar = _as_array(w)
-        u, v, phi = self._flux_state(w_arr)
-        rup = self.rate_u.deriv(u)
-        rvp = self.rate_v.deriv(v)
-        num = (self.diff_u / self.alpha) * rvp + (self.diff_v / self.beta) * rup
-        den = rvp / self.alpha + rup / self.beta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phip = num / den
-        degenerate = ~np.isfinite(phip)
-        if np.any(degenerate):
-            phip = np.where(degenerate,
-                            self.flux_potential_deriv_fd(w_arr), phip)
-        if scalar:
-            return phi.item(), phip.item()
-        return phi, phip
-
-    def flux_potential_deriv_fd(self, w, rel_step: float = 1e-7):
-        """One-sided finite-difference flux potential slope (cross-check)."""
-        w_arr, scalar = _as_array(w)
-        h = rel_step * (1.0 + np.abs(w_arr))
-        out = (np.asarray(self.flux_potential(w_arr + h), dtype=float)
-               - np.asarray(self.flux_potential(w_arr), dtype=float)) / h
+        wp, fp = self.maps_in_z()[1](self.z_from_w(w_arr))
+        out = fp / wp
         return out.item() if scalar else out
 
 

@@ -6,15 +6,15 @@ nonlinear diffusion.  Each implicit step solves
 
     m_K (w_K - w_K^prev) + dt sum_L T (phi(w_K) - phi(w_L)) = 0
 
-with phi the kinetics' flux potential.  Newton corrections use the analytic
-chain-rule slope of phi.  One equilibrium inversion per Newton iterate
-serves both: the residual evaluates phi and phi' together, and the
-correction at that iterate reuses its phi'.  The scheme conserves
-sum_K m_K w_K exactly and obeys a discrete maximum principle; both are
-enforced as post-conditions within numerical slack.
-
-phi is evaluated through its odd extension (phi(-s) := -phi(s)) so line
-searches survive transiently negative iterates.
+with phi the kinetics' flux potential.  The unknown is z, the equilibrium
+value of u (p >= q) or of v (p < q), in which w = W(z) and phi = Phi(z) are
+explicit (``Kinetics.maps_in_z``, odd-extended so line searches survive
+negative iterates): no residual inverts the equilibrium map, and each
+Newton correction is one tridiagonal solve with the slopes W' and Phi'.  A
+step returns w = W(z) with z, and the next step starts from that z; only a
+state built from w alone costs one inversion.  The scheme conserves
+sum_K m_K w_K up to the converged residual and obeys a discrete maximum
+principle; both are enforced as post-conditions within numerical slack.
 
 Each step is one damped Newton solve started from the previous state.  On
 long steps (dt T / m large, as late in a T = 1e11 s run) double precision
@@ -52,13 +52,19 @@ __all__ = [
 
 @dataclass(eq=False)
 class WState(_CellState):
-    """Cellwise conserved variable at one time level."""
+    """Cellwise conserved variable at one time level.
+
+    ``z`` is the equilibrium unknown of ``step_w`` that gives w, or None
+    for a state built from w alone.  It is not one of the ``fields``, so
+    no output carries it.
+    """
 
     fields = ("w",)
 
     w: np.ndarray
     level: int
     time: float
+    z: np.ndarray | None = None
 
 
 def project_initial_w(mesh: Mesh, kin: Kinetics, u0, v0,
@@ -74,33 +80,32 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
            cfg: SolverConfig | None = None) -> tuple[WState, StepStats]:
     """Advance the conserved variable one implicit step.
 
-    Runs damped Newton once, from the previous state; a step that stops
-    at the rounding floor reports a residual above ``newton_tol``.  Each
-    residual evaluation inverts the equilibrium map once and keeps phi' for
-    the correction at the same iterate.  Raises NonConvergenceError naming
-    the step and that attempt when it does not converge, and
-    ConsistencyError when the result breaks the maximum principle.
+    Runs damped Newton once in the equilibrium unknown z, from the
+    previous state's z; a state without z (its w must be nonnegative) is
+    inverted once to get it.  A step that stops at the rounding floor
+    reports a residual above ``newton_tol``.  Returns w = W(z) with z.
+    Raises NonConvergenceError naming the step and that attempt when it
+    does not converge, and ConsistencyError when the result breaks the
+    maximum principle.
     """
     if cfg is None:
         cfg = SolverConfig()
     _check_step(mesh, dt, prev)
     m = mesh.volumes
+    values, slopes = kin.maps_in_z()
+    z0 = kin.z_from_w(prev.w) if prev.z is None else prev.z
 
-    last = {}
+    def residual_fn(z):
+        w, phi = values(z)
+        return m * (w - prev.w) + dt * mesh.apply_laplacian(phi)
 
-    def residual_fn(w):
-        phi, phip = kin.flux_potential_and_deriv(np.abs(w))
-        last["w"], last["phip"] = w, phip
-        return m * (w - prev.w) + dt * mesh.apply_laplacian(np.sign(w) * phi)
-
-    solve_fn = _make_solve_fn_w(mesh, kin, dt, last)
-
-    result = damped_newton(prev.w, residual_fn, solve_fn, _scaled_norm(m),
-                           tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    result = damped_newton(z0, residual_fn, _make_solve_fn_w(mesh, dt, slopes),
+                           _scaled_norm(m), tol=cfg.newton_tol,
+                           max_iter=cfg.newton_max_iter)
     if not result.converged:
         raise _step_failure("limit", prev, dt, kin, result)
 
-    w_new = result.z
+    w_new = values(result.z)[0]
     lo, hi = float(np.min(prev.w)), float(np.max(prev.w))
     lo_new, hi_new = float(np.min(w_new)), float(np.max(w_new))
     slack = 10.0 * cfg.newton_tol * max(1.0, -lo, hi)
@@ -108,32 +113,26 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
         raise ConsistencyError(
             "converged diffusion step violated the maximum principle "
             f"(range [{lo_new!r}, {hi_new!r}] vs previous [{lo!r}, {hi!r}])")
-    state = WState(w=w_new, level=prev.level + 1, time=prev.time + dt)
+    state = WState(w=w_new, level=prev.level + 1, time=prev.time + dt,
+                   z=result.z)
     stats = StepStats(level=state.level, dt=dt,
                       newton_iterations=result.iterations,
                       residual=result.residual)
     return state, stats
 
 
-def _make_solve_fn_w(mesh: Mesh, kin: Kinetics, dt: float,
-                     last: dict | None = None):
-    """Banded Newton correction of step_w's residual at w.
-
-    ``last`` holds the iterate whose residual was evaluated last (key "w")
-    and phi' there ("phip").  damped_newton solves only at that iterate, so
-    a call on the same array reuses phi'; any other array is inverted anew.
-    """
+def _make_solve_fn_w(mesh: Mesh, dt: float, slopes):
+    """Banded Newton correction of step_w's residual at z: the tridiagonal
+    Jacobian has diagonal m W'(z) + dt deg Phi'(z) and off-diagonals
+    -dt T Phi'(z), with ``slopes(z) -> (W', Phi')``."""
     m = mesh.volumes
     dt_deg = dt * mesh.deg
     dt_t = -dt * mesh.transmissibilities
 
-    def solve_fn(w, r):
-        if last is not None and last.get("w") is w:
-            phip = last["phip"]
-        else:
-            phip = kin.flux_potential_deriv(np.abs(w))
-        return lapack_solve("gtsv", dt_t * phip[:-1], m + dt_deg * phip,
-                            dt_t * phip[1:], r, overwrite_dl=True,
+    def solve_fn(z, r):
+        wp, fp = slopes(z)
+        return lapack_solve("gtsv", dt_t * fp[:-1], m * wp + dt_deg * fp,
+                            dt_t * fp[1:], r, overwrite_dl=True,
                             overwrite_d=True, overwrite_du=True)
 
     return solve_fn

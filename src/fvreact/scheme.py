@@ -318,13 +318,15 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
 def _step_failure(what: str, prev, dt: float, kin: Kinetics,
                   result: NewtonResult) -> NonConvergenceError:
     """The error for an implicit step whose one Newton attempt, from the
-    previous state, returned ``result`` unconverged."""
+    previous state, returned ``result`` unconverged; it ends with the
+    residual norm at the start and after each step taken."""
     its, res = result.iterations, result.residual
+    history = ", ".join(f"{h:.3e}" for h in result.history)
     return NonConvergenceError(
         f"{what} step to level {prev.level + 1} at t = {prev.time + dt!r} "
         f"(dt = {dt!r}, k = {kin.rate_factor!r}) did not converge; "
-        f"tried previous-state (residual {res!r} after {its} iterations)",
-        iterations=its, residual=res)
+        f"tried previous-state (residual {res!r} after {its} iterations); "
+        f"residual history: {history}", iterations=its, residual=res)
 
 
 def _check_step_bounds(kin, prev, u_new, v_new, newton_tol):

@@ -16,7 +16,7 @@ from fvreact._newton import _at_floor
 from fvreact.diagnostics import l1_distance, lyapunov_series
 from fvreact.experiment import ExperimentConfig, preset_config, sweep
 from fvreact.kinetics import (closed_form_discrepancy, dimerisation_kinetics)
-from fvreact.limit import _make_solve_fn_w, integrate_w, project_initial_w
+from fvreact.limit import integrate_w, project_initial_w
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
 from fvreact.scheme import (SolverConfig, State, _scaled_norm, integrate,
                             project_initial, step)
@@ -268,10 +268,12 @@ def test_sweep_limit_runs_stop_at_tol_or_floor(sweep_run):
     steps whose residual ends above newton_tol are exactly those stopped at
     the rounding floor: at the recorded state the residual is the recorded
     one, and the Newton correction there is at working precision."""
+    from scipy.linalg import solve_banded
+
     outdir, _ = sweep_run
     cfg = ExperimentConfig.from_dict(preset_config("dimerisation-sweep"))
     mesh, kin = cfg.build_mesh(), cfg.build_kinetics()
-    m = mesh.volumes
+    m, t = mesh.volumes, mesh.transmissibilities
     subdirs = sorted(outdir.glob("k_*"))
     assert len(subdirs) == len(cfg.sweep_values)
     for sub in subdirs:
@@ -279,20 +281,32 @@ def test_sweep_limit_runs_stop_at_tol_or_floor(sweep_run):
             rows = list(csv.DictReader(fh))
         assert {row["fallback"] for row in rows} == {""}, sub.name
     # the limit run does not depend on k: check the last factor's; it
-    # records every level, each as n_cells rows
+    # records every level, each as n_cells rows.  The step solves for the
+    # equilibrium unknown z, which the CSV does not carry, so rerun the
+    # march for it and check that it reproduces the recorded w
     w = np.loadtxt(subdirs[-1] / "trajectory_w.csv", delimiter=",",
                    skiprows=1, usecols=4).reshape(len(rows) + 1, mesh.n_cells)
+    u0, v0 = cfg.initial_profiles()
+    wtraj = integrate_w(mesh, kin, cfg.build_limit_grid(),
+                        project_initial_w(mesh, kin, u0, v0,
+                                          cfg.quadrature_points), cfg.solver)
+    assert np.array_equal(wtraj.arrays()[2], w)
+    values, slopes = kin.maps_in_z()
     floor = [row for row in rows if float(row["residual"]) > TOL]
     assert floor, "FAIL: no limit step reached the rounding floor"
     for row in floor:
         lv, dt = int(row["level"]), float(row["dt"])
-        w_new, w_old = w[lv], w[lv - 1]
-        phi = kin.flux_potential_and_deriv(np.abs(w_new))[0]
-        r = m * (w_new - w_old) + dt * mesh.apply_laplacian(np.sign(w_new)
-                                                             * phi)
-        assert _scaled_norm(m)(w_new, r) == float(row["residual"]), lv
-        delta = _make_solve_fn_w(mesh, kin, dt)(w_new, r)
-        assert _at_floor(delta, w_new), \
+        z = wtraj.states[lv].z
+        w_z, phi = values(z)
+        r = m * (w_z - w[lv - 1]) + dt * mesh.apply_laplacian(phi)
+        assert _scaled_norm(m)(z, r) == float(row["residual"]), lv
+        wp, fp = slopes(z)
+        band = np.zeros((3, mesh.n_cells))
+        band[0, 1:] = -dt * t * fp[1:]
+        band[1] = m * wp + dt * mesh.deg * fp
+        band[2, :-1] = -dt * t * fp[:-1]
+        delta = solve_banded((1, 1), band, r)
+        assert _at_floor(delta, z), \
             f"FAIL: level {lv} is above newton_tol, not at the floor"
     print(f"limit runs: PASS ({len(floor)} of {len(rows)} steps at the "
           f"rounding floor, levels {floor[0]['level']}..{floor[-1]['level']})")

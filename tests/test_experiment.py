@@ -81,6 +81,11 @@ def test_tabulated_initial_interpolates():
     (lambda r: r.__setitem__("sweep", []), "sweep"),
     (lambda r: r.__setitem__("sweep", [1.0, -2.0]), "sweep"),
     (lambda r: r.__setitem__("quadrature_points", 0), "quadrature"),
+    pytest.param(lambda r: r.__setitem__("quadrature_points", 101),
+                 "quadrature", id="quadrature-bound"),
+    pytest.param(lambda r: r.__setitem__("time", {
+        "kind": "uniform", "final_time": 1.0, "n_steps": 10 ** 6 + 1}),
+        "n_steps", id="n_steps-bound"),
     (lambda r: r.__setitem__("output", {"levels": []}), "levels"),
     (lambda r: r.__setitem__("diagnostics", {"entropy": "yes"}), "entropy"),
     (lambda r: r.__setitem__("solver", {"newton_tol": -1.0}), "solver"),
@@ -297,6 +302,24 @@ def test_cli_run_and_plot_data(tmp_path):
 def test_cli_run_preset_requires_exactly_one_source():
     proc = run_cli("run", "-o", "/tmp/nowhere")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("quadrature_points", 2 ** 63),
+    ("time", {"kind": "uniform", "final_time": 1.0, "n_steps": 2 ** 62})])
+def test_cli_rejects_oversized_integers(tmp_path, capsys, field, value):
+    # both once passed validation and then crashed run with exit 1
+    # (OverflowError from leggauss, ValueError from the grid allocation);
+    # now from_dict rejects them against a documented bound, so both
+    # commands exit 2 before anything is allocated
+    from fvreact.cli import main
+
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(**{field: value})))
+    assert main(["validate-config", "-c", str(cfg_path)]) == 2
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
+    assert "must be an integer in [1, " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path):

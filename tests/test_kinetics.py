@@ -163,35 +163,50 @@ def test_u_from_w_matches_plain_inversion(make):
     kin = make()
     w = W_SAMPLES
     hi = kin.alpha * w * (1.0 + 1e-12)
-    plain = invert_monotone(
-        kin.w_from_u,
-        lambda s: 1.0 / kin.alpha + kin.v_from_u_deriv(s) / kin.beta,
-        w, 0.0, hi)
+    def chain_rule_slope(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ep = kin.rate_u.deriv(s) / kin.rate_v.deriv(kin.v_from_u(s))
+        return 1.0 / kin.alpha + ep / kin.beta
+
+    plain = invert_monotone(kin.w_from_u, chain_rule_slope, w, 0.0, hi)
     assert np.array_equal(kin.u_from_w(w), plain)
 
 
-@BOTH_KINETICS
-def test_flux_potential_pair_matches_chain_rule(make):
-    # phi and phi' from one inversion equal the formulas evaluated from
-    # u_from_w and v_from_u, bit for bit, and so do the two one-sided views;
-    # at w = 0 both power-law rate slopes vanish and the slope is the
-    # one-sided difference
+@pytest.mark.parametrize("make", [
+    lambda: dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V), _plaw,
+    lambda: power_law_kinetics(2.0, 1.5, 0.5, 4.0, alpha=3.0, beta=0.5,
+                               diff_u=DIFF_U, diff_v=DIFF_V)],
+    ids=["dimerisation", "power-law", "power-law-p<q"])
+def test_maps_in_z_are_the_equilibrium_maps(make):
+    # at z = z_from_w(w), W(z) gives w back and Phi(z) is the flux potential
+    # of the equilibrium (u, v); the slopes match central differences and
+    # are finite at z = 0, where the chain rule's ratio is 0/0; W and Phi
+    # are odd, their slopes even; flux_potential and its slope are Phi(z(w))
+    # and Phi'/W' bit for bit
     kin = make()
+    values, slopes = kin.maps_in_z()
     w = W_SAMPLES
+    z = kin.z_from_w(w)
     u = kin.u_from_w(w)
     v = kin.v_from_u(u)
-    phi = (kin.diff_u / kin.alpha) * u + (kin.diff_v / kin.beta) * v
-    rup, rvp = kin.rate_u.deriv(u), kin.rate_v.deriv(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phip = (((kin.diff_u / kin.alpha) * rvp + (kin.diff_v / kin.beta) * rup)
-                / (rvp / kin.alpha + rup / kin.beta))
-    degenerate = ~np.isfinite(phip)
-    phip[degenerate] = kin.flux_potential_deriv_fd(w[degenerate])
-    pair = kin.flux_potential_and_deriv(w)
-    assert np.array_equal(pair[0], phi) and np.array_equal(pair[1], phip)
+    big, phi = values(z)
+    assert np.all(np.abs(big - w) <= 2 * TOL_INV * (1.0 + w))
+    assert np.allclose(phi, (kin.diff_u / kin.alpha) * u
+                       + (kin.diff_v / kin.beta) * v, rtol=1e-10, atol=0.0)
+    wp, fp = slopes(z)
+    assert np.all(np.isfinite(wp) & np.isfinite(fp) & (wp > 0) & (fp > 0))
+    zs = np.geomspace(1e-6, 1e2, 9)
+    h = 1e-6 * zs
+    for got, i in ((slopes(zs)[0], 0), (slopes(zs)[1], 1)):
+        fd = (values(zs + h)[i] - values(zs - h)[i]) / (2 * h)
+        assert np.allclose(got, fd, rtol=1e-6)
+    for a, b in zip(values(-zs), values(zs)):
+        assert np.array_equal(a, -b)
+    for a, b in zip(slopes(-zs), slopes(zs)):
+        assert np.array_equal(a, b)
     assert np.array_equal(kin.flux_potential(w), phi)
-    assert np.array_equal(kin.flux_potential_deriv(w), phip)
-    assert kin.flux_potential_and_deriv(float(w[7])) == (phi[7], phip[7])
+    assert np.array_equal(kin.flux_potential_deriv(w), fp / wp)
+    assert kin.flux_potential(float(w[7])) == phi[7]
 
 
 @BOTH_KINETICS

@@ -3,15 +3,16 @@ import csv
 import numpy as np
 import pytest
 
-from fvreact import limit
+from fvreact._newton import damped_newton
 from fvreact.errors import NonConvergenceError
+from fvreact.experiment import ExperimentConfig, preset_config
 from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
                               power_law_kinetics)
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
 from fvreact.limit import (WState, integrate_w, project_initial_w, step_w,
                            write_w_csv)
-from fvreact.scheme import (State, SolverConfig, Trajectory, integrate,
-                            project_initial, write_trajectory_csv)
+from fvreact.scheme import (State, SolverConfig, Trajectory, _scaled_norm,
+                            integrate, project_initial, write_trajectory_csv)
 
 K1 = 1.072e-4
 K2 = 2.363e-6
@@ -151,6 +152,10 @@ def test_step_w_reports_nonconvergence():
     assert info.value.residual > 1.0
     assert info.value.residual == float(
         msg.rsplit("previous-state (residual ", 1)[1].split()[0])
+    history = [float(h)
+               for h in msg.split("residual history: ")[1].split(", ")]
+    assert len(history) == 2 and history[0] > history[1]
+    assert history[1] == pytest.approx(info.value.residual, rel=1e-3)
 
 
 def test_write_w_csv(tmp_path):
@@ -168,29 +173,119 @@ def test_write_w_csv(tmp_path):
     assert float(lines[1].split(",")[4]) == pytest.approx(winit.w[0])
 
 
-def test_step_w_inverts_once_per_residual(monkeypatch):
-    # the correction at an iterate reuses the phi' its residual computed,
-    # so a step inverts the equilibrium map once per residual evaluation
+def test_step_w_inverts_only_a_state_without_z(monkeypatch):
+    # step_w iterates in the equilibrium unknown z: a state it returned
+    # carries z and its next step inverts nothing, while a state built
+    # from w alone costs exactly one inversion
     mesh = build_uniform_1d(0.1, 16)
     kin = dimer()
     rng = np.random.default_rng(3)
     prev = WState(w=rng.uniform(0.05, 0.5, 16), level=0, time=0.0)
-    inversions, residuals, solves = [], [], []
+    inversions = []
     u_from_w = Kinetics.u_from_w
     monkeypatch.setattr(Kinetics, "u_from_w",
                         lambda self, *a, **kw: inversions.append(1)
                         or u_from_w(self, *a, **kw))
-    damped_newton = limit.damped_newton
+    state, _ = step_w(mesh, kin, 1e3, prev)
+    assert len(inversions) == 1 and state.z is not None
+    state, stats = step_w(mesh, kin, 1e3, state)
+    assert len(inversions) == 1 and stats.newton_iterations > 0
 
-    def counting_newton(z0, residual_fn, solve_fn, *args, **kwargs):
-        return damped_newton(
-            z0, lambda z: residuals.append(1) or residual_fn(z),
-            lambda z, r: solves.append(1) or solve_fn(z, r), *args, **kwargs)
 
-    monkeypatch.setattr(limit, "damped_newton", counting_newton)
-    _, stats = step_w(mesh, kin, 1e3, prev)
-    assert stats.fallback == "" and solves
-    assert len(inversions) == len(residuals)
+def _w_residual_step(mesh, kin, dt, w_prev):
+    """Reference: the same step solved in w.  Its residual takes phi from
+    the equilibrium (u, v) of each iterate, one ``u_from_w`` inversion per
+    evaluation, so it shares no code with step_w's maps in z; the slope
+    only steers Newton, and is kin.flux_potential_deriv.  Both are
+    odd-extended."""
+    from scipy.linalg import solve_banded
+
+    m, t = mesh.volumes, mesh.transmissibilities
+
+    def residual_fn(w):
+        u = kin.u_from_w(np.abs(w))
+        phi = (kin.diff_u / kin.alpha) * u \
+            + (kin.diff_v / kin.beta) * kin.v_from_u(u)
+        return m * (w - w_prev) + dt * mesh.apply_laplacian(np.sign(w) * phi)
+
+    def solve_fn(w, r):
+        fp = kin.flux_potential_deriv(np.abs(w))
+        band = np.zeros((3, w.size))
+        band[0, 1:] = -dt * t * fp[1:]
+        band[1] = m + dt * mesh.deg * fp
+        band[2, :-1] = -dt * t * fp[:-1]
+        return solve_banded((1, 1), band, r)
+
+    result = damped_newton(w_prev, residual_fn, solve_fn, _scaled_norm(m),
+                           tol=SolverConfig().newton_tol, max_iter=40)
+    assert result.converged
+    return result.z
+
+
+def _random_exponents(rng, case):
+    if case == "p>q":
+        q = rng.uniform(1.0, 3.0)
+        return q + rng.uniform(0.2, 2.0), q
+    if case == "p=q":
+        p = rng.uniform(1.0, 3.0)
+        return p, p
+    if case == "p<q":
+        return 1.0, rng.uniform(1.2, 4.0)
+    p = rng.uniform(1.1, 2.0)  # q > p > 1
+    return p, p + rng.uniform(0.3, 2.0)
+
+
+@pytest.mark.parametrize("case", ["p>q", "p=q", "p<q", "q>p>1"])
+def test_step_w_matches_a_w_residual_reference(case):
+    # seeded random power laws, meshes, data and dt in [1e-8, 1e12] s: the
+    # step in z agrees with the same step solved in w to 1e-11 of max w,
+    # conserves mass and keeps the maximum principle; the q > p > 1 trials
+    # start from data with zero cells
+    rng = np.random.default_rng(["p>q", "p=q", "p<q", "q>p>1"].index(case))
+    slack = 10 * SolverConfig().newton_tol
+    for _ in range(10):
+        p, q = _random_exponents(rng, case)
+        c_a, c_b, d_u, d_v = 10.0 ** rng.uniform([-2, -2, -10, -10],
+                                                 [2, 2, -8, -8])
+        kin = power_law_kinetics(c_a, p, c_b, q, alpha=rng.uniform(0.5, 3),
+                                 beta=rng.uniform(0.5, 3), diff_u=d_u,
+                                 diff_v=d_v)
+        n = int(rng.integers(1, 25))
+        mesh = build_uniform_1d(0.1, n)
+        w_prev = rng.uniform(0.0, 1.0, n)
+        if case == "q>p>1":
+            w_prev[rng.uniform(size=n) < 0.4] = 0.0
+        dt = 10.0 ** rng.uniform(-8, 12)
+        new, _ = step_w(mesh, kin, dt, WState(w=w_prev, level=0, time=0.0))
+        w_max = float(np.max(w_prev))
+        ref = _w_residual_step(mesh, kin, dt, w_prev)
+        assert np.max(np.abs(new.w - ref)) <= 1e-11 * w_max, (p, q, dt)
+        mass = float(np.sum(mesh.volumes * w_prev))
+        assert abs(float(np.sum(mesh.volumes * new.w)) - mass) \
+            <= 1e-12 * mesh.volumes.sum() * w_max, (p, q, dt)
+        assert np.min(new.w) >= np.min(w_prev) - slack * max(1.0, w_max)
+        assert np.max(new.w) <= w_max + slack * max(1.0, w_max)
+
+
+@pytest.mark.parametrize("preset", ["dimerisation-tmax1",
+                                    "dimerisation-tmax2"])
+def test_step_w_from_z_matches_step_from_w_on_presets(preset):
+    # along each preset's limit run, a step from the returned state (which
+    # carries z) and a step from the same w alone agree to 1e-11 of max w
+    cfg = ExperimentConfig.from_dict(preset_config(preset))
+    mesh, kin = cfg.build_mesh(), cfg.build_kinetics()
+    grid = cfg.build_limit_grid()
+    u0, v0 = cfg.initial_profiles()
+    traj = integrate_w(mesh, kin, grid, project_initial_w(mesh, kin, u0, v0),
+                       cfg.solver)
+    scale = float(np.max(traj.states[0].w))
+    for state in traj.states[1:-1:40]:
+        dt = float(grid.steps[state.level])
+        with_z, _ = step_w(mesh, kin, dt, state, cfg.solver)
+        bare = WState(w=state.w, level=state.level, time=state.time)
+        from_w, _ = step_w(mesh, kin, dt, bare, cfg.solver)
+        assert np.max(np.abs(with_z.w - from_w.w)) <= 1e-11 * scale, \
+            state.level
 
 
 def _csv_writer_bytes(path, header, rows):

@@ -163,7 +163,8 @@ def _fd_jacobian(fn, z, rel=1e-6):
 @pytest.mark.parametrize("n_cells", [1, 2, 12])
 def test_banded_correction_matches_fd_jacobian(n_cells, k):
     # the banded Newton correction of the coupled step and of step_w equals
-    # a dense solve with a finite-difference Jacobian of the step residual
+    # a dense solve with a finite-difference Jacobian of the step residual;
+    # step_w's unknown is the equilibrium u (dimerisation has p > q)
     mesh = build_uniform_1d(0.1, n_cells)
     kin = dimer(k=k)
     dt = 1e3
@@ -184,13 +185,14 @@ def test_banded_correction_matches_fd_jacobian(n_cells, k):
                        atol=1e-9 * np.max(np.abs(expect)))
 
     w_prev = prev.u / kin.alpha + prev.v / kin.beta
-    w = z[:n_cells] / kin.alpha + z[n_cells:] / kin.beta
-    def limit_residual(w):
-        return (mesh.volumes * (w - w_prev)
-                + dt * mesh.apply_laplacian(kin.flux_potential(w)))
+    values, slopes = kin.maps_in_z()
+    z_w = z[:n_cells]
+    def limit_residual(z):
+        w, phi = values(z)
+        return mesh.volumes * (w - w_prev) + dt * mesh.apply_laplacian(phi)
 
-    delta_w = limit._make_solve_fn_w(mesh, kin, dt)(w, r[:n_cells])
-    expect_w = np.linalg.solve(_fd_jacobian(limit_residual, w), r[:n_cells])
+    delta_w = limit._make_solve_fn_w(mesh, dt, slopes)(z_w, r[:n_cells])
+    expect_w = np.linalg.solve(_fd_jacobian(limit_residual, z_w), r[:n_cells])
     assert np.allclose(delta_w, expect_w, rtol=1e-6,
                        atol=1e-9 * np.max(np.abs(expect_w)))
 
@@ -212,8 +214,8 @@ def test_lapack_corrections_equal_solve_banded(n_cells, k):
     r = rng.uniform(-1.0, 1.0, 2 * n)
     r_before = r.copy()
     rup, rvp = kin.rate_u.deriv(z[:n]), kin.rate_v.deriv(z[n:])
-    w = z[:n] / kin.alpha + z[n:] / kin.beta
-    phip = kin.flux_potential_deriv(w)
+    slopes = kin.maps_in_z()[1]
+    wp, fp = slopes(z[:n])
     iu, iv = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     for dt in (1.0, 1e3, 1e6):
         ab = np.zeros((5, 2 * n))
@@ -230,10 +232,10 @@ def test_lapack_corrections_equal_solve_banded(n_cells, k):
         assert np.array_equal(delta, np.concatenate([x[iu], x[iv]]))
 
         ab_w = np.zeros((3, n))
-        ab_w[1] = m + dt * deg * phip
-        ab_w[0, 1:] = -dt * t * phip[1:]
-        ab_w[2, :-1] = -dt * t * phip[:-1]
-        delta_w = limit._make_solve_fn_w(mesh, kin, dt)(w, r[:n])
+        ab_w[1] = m * wp + dt * deg * fp
+        ab_w[0, 1:] = -dt * t * fp[1:]
+        ab_w[2, :-1] = -dt * t * fp[:-1]
+        delta_w = limit._make_solve_fn_w(mesh, dt, slopes)(z[:n], r[:n])
         assert np.array_equal(delta_w, solve_banded((1, 1), ab_w, r[:n]))
         assert np.array_equal(r, r_before)
 
@@ -256,12 +258,13 @@ def test_singular_band_fails_the_step(monkeypatch):
     with pytest.raises(NonConvergenceError, match="after 0 iterations"):
         step(mesh, kin, 0.5, prev)
 
-    # two cells, dt = 1/4, phi' = (0, -1): the second row is exactly zero
+    # two cells, dt = 1/4, W' = 1, Phi' = (0, -1): the second row is
+    # exactly zero
     mesh = build_uniform_1d(1.0, 2)
-    w, phip = np.array([0.2, 0.4]), np.array([0.0, -1.0])
-    solve_w = limit._make_solve_fn_w(mesh, kin, 0.25, {"w": w, "phip": phip})
+    solve_w = limit._make_solve_fn_w(
+        mesh, 0.25, lambda z: (np.ones(2), np.array([0.0, -1.0])))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_w(w, r)
+        solve_w(np.array([0.2, 0.4]), r)
 
 
 def test_non_finite_band_raises_solve_banded_error(monkeypatch):
@@ -285,7 +288,8 @@ def test_non_finite_band_raises_solve_banded_error(monkeypatch):
     for n_cells in (1, 2):
         w = np.full(n_cells, 0.2)
         with pytest.raises(ValueError) as ours:
-            limit._make_solve_fn_w(build_uniform_1d(0.1, n_cells), kin, 1e3)(
+            limit._make_solve_fn_w(build_uniform_1d(0.1, n_cells), 1e3,
+                                   kin.maps_in_z()[1])(
                 w, np.full(n_cells, np.nan))
         assert str(ours.value) == str(banded.value)
     monkeypatch.setattr(scheme, "_rate_deriv_ext",
@@ -408,6 +412,12 @@ def test_step_reports_nonconvergence():
     assert info.value.residual == pytest.approx(
         float(msg.rsplit("(residual ", 1)[1].split()[0]))
     assert info.value.residual > 0 and info.value.iterations > 0
+    # the message ends with the norm at the start and after each step taken
+    history = [float(h)
+               for h in msg.split("residual history: ")[1].split(", ")]
+    assert len(history) == info.value.iterations + 1
+    assert np.all(np.diff(history) < 0)
+    assert history[-1] == pytest.approx(info.value.residual, rel=1e-3)
 
 
 def test_linear_step_converges_at_the_rounding_floor():
