@@ -47,10 +47,8 @@ def lapack_solve(name: str, *args, **overwrite) -> np.ndarray:
     return x
 
 
-# Trial step lengths: the damped phase halves a rejected correction up to
-# 12 times; the polish takes full steps only.
+# Trial step lengths: a rejected correction is halved up to 12 times.
 _DAMPED_STEPS = tuple(0.5 ** i for i in range(13))
-_FULL_STEP = _DAMPED_STEPS[:1]
 
 # A correction this small relative to max(1, |z|) is at working precision.
 FLOOR = 64.0 * np.finfo(float).eps
@@ -62,35 +60,29 @@ def damped_newton(z0: np.ndarray,
                   norm_fn: Callable,
                   tol: float,
                   max_iter: int) -> NewtonResult:
-    """Newton iteration with backtracking damping and residual polish.
+    """Newton iteration with backtracking damping.
 
     ``solve_fn(z, r)`` returns the Newton correction ``delta`` with
     J(z) delta = r; ``norm_fn(z, r)`` the scaled residual max-norm.
     A correction that fails to reduce the norm is halved up to 12 times.
 
-    The iteration converges when the norm is at most ``tol``, or at the
+    The iteration returns as soon as the norm is at most ``tol``, or at the
     rounding floor: when a full correction fails to reduce the norm while
     max |delta| / max(1, |z|) <= FLOOR, the current iterate is returned as
     converged.  Double precision cannot lower the residual of a large
     dt T / m step to ``tol``, so such a result reports a residual above it.
     The floor is tested only at that rejection.
 
-    After the tolerance is met, up to two extra full steps are taken
-    while each halves the residual or better.  Downstream telescoped sums
-    (mass balances over hundreds of steps) rely on converged residuals
-    sitting at their floating-point floor rather than just under ``tol``.
-
-    ``iterations`` counts every correction before convergence, taken or
-    not, and the polish steps taken; ``history`` holds the norm at ``z0``
-    and after each step taken.
+    ``iterations`` counts every correction, taken or not; ``history`` holds
+    the norm at ``z0`` and after each step taken.
     """
     z = np.array(z0, dtype=float, copy=True)
     r = residual_fn(z)
     res = float(norm_fn(z, r))
     history = [res]
-    iters, evals, solves, polished = 0, 1, 0, 0
+    iters, evals, solves = 0, 1, 0
     converged = res <= tol
-    while polished < 2 if converged else iters < max_iter:
+    while not converged and iters < max_iter:
         solves += 1
         try:
             delta = solve_fn(z, r)
@@ -98,22 +90,19 @@ def damped_newton(z0: np.ndarray,
             break
         if not np.all(np.isfinite(delta)):
             break
-        for lam in _FULL_STEP if converged else _DAMPED_STEPS:
+        for lam in _DAMPED_STEPS:
             z_try = z - lam * delta
             r_try = residual_fn(z_try)
             evals += 1
             res_try = float(norm_fn(z_try, r_try))
             if np.isfinite(res_try) and res_try < res:
                 break
-            if lam == 1.0 and not converged and _at_floor(delta, z):
+            if lam == 1.0 and _at_floor(delta, z):
                 return NewtonResult(z, iters + 1, res, True, evals, solves,
                                     tuple(history))
         else:
-            if not converged:
-                iters += 1
+            iters += 1
             break
-        if converged:
-            polished = polished + 1 if res_try < 0.5 * res else 2
         z, r, res = z_try, r_try, res_try
         history.append(res)
         iters += 1

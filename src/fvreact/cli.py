@@ -2,7 +2,7 @@
 
     fvreact run -c config.json -o out/
     fvreact run --preset dimerisation-tmax1 -o out/
-    fvreact sweep --preset dimerisation-sweep -o out/ --jobs 4
+    fvreact sweep --preset dimerisation-sweep -o out/
     fvreact plot-data out/trajectory.csv -o out/plots/
     fvreact validate-config -c config.json
 

@@ -5,7 +5,7 @@ initial data, solver knobs, diagnostics options and an optional sweep over
 the rate factor.  ``run`` executes the coupled problem next to its
 fast-reaction limit companion, writes CSVs plus a manifest, and returns the
 diagnostics report; ``sweep`` repeats that over the rate factors as
-independent parallel jobs and tabulates the distances to the limit.
+independent jobs and tabulates the distances to the limit.
 
 All numeric output is written via ``repr`` so reruns of the same build are
 byte-identical (the manifest, which carries wall-clock timings, is the one
@@ -47,9 +47,10 @@ __all__ = [
 
 _PRESET_IC = "demo-bands"
 
-# Upper bounds on config integers, checked before anything is allocated:
+# Upper bounds on a config's work, checked before anything is allocated:
 # far beyond any useful run, and below sizes that crash the allocation.
-MAX_UNIFORM_STEPS = 10 ** 6
+# MAX_STEPS bounds the steps of every time grid, uniform or ramped.
+MAX_STEPS = 10 ** 6
 MAX_QUADRATURE_POINTS = 100
 
 # Reversible dimerisation demo: a silane monomer/dimer pair.
@@ -167,7 +168,7 @@ class ExperimentConfig:
                 if bad in time_d:
                     raise ConfigError(f"time.{bad} does not apply to uniform grids")
             n_steps = _integer(time_d, "time.n_steps", minimum=1,
-                               maximum=MAX_UNIFORM_STEPS)
+                               maximum=MAX_STEPS)
         elif kind == "ramped":
             if "n_steps" in time_d:
                 raise ConfigError("time.n_steps does not apply to ramped grids")
@@ -183,6 +184,13 @@ class ExperimentConfig:
                 if "limit_initial_step" in time_d else initial_step
             if initial_step > final_time or limit_t0 > final_time:
                 raise ConfigError("time.initial_step exceeds time.final_time")
+            for name, dt0 in (("initial_step", initial_step),
+                              ("limit_initial_step", limit_t0)):
+                steps = _ramped_steps(dt0, growth, final_time)
+                if steps > MAX_STEPS:
+                    raise ConfigError(
+                        f"time.{name} and time.growth give {steps:.3g} steps "
+                        f"to time.final_time, more than {MAX_STEPS}")
         else:
             raise ConfigError(
                 f"time.kind must be 'uniform' or 'ramped', got {kind!r}")
@@ -344,6 +352,20 @@ def _integer(d: dict, path: str, minimum: int, maximum=math.inf) -> int:
         raise ConfigError(
             f"{path} must be an integer in [{minimum}, {maximum}]")
     return val
+
+
+def _ramped_steps(dt0: float, growth: float, final_time: float) -> float:
+    """Step count of ``build_time_grid_ramped`` in closed form, before the
+    ceiling: the least n with dt0 (g^n - 1)/(g - 1) >= T is the ceiling of
+    log(1 + T (g - 1)/dt0)/log g, or of T/dt0 when g = 1.  Left a float, so
+    a count past any bound compares as inf instead of raising."""
+    if growth == 1.0:
+        return final_time / dt0
+    x = final_time / dt0 * (growth - 1.0)
+    if math.isinf(x):  # log(1 + x) = log x to working precision
+        return (math.log(final_time) - math.log(dt0)
+                + math.log(growth - 1.0)) / math.log(growth)
+    return math.log1p(x) / math.log(growth)
 
 
 def _float_list(vals, path: str) -> tuple:

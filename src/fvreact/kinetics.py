@@ -207,9 +207,7 @@ class Kinetics:
         """Invert w_from_u on w >= 0 by safeguarded Newton/bisection.
 
         The bracket [0, alpha * w] is valid a priori because
-        w_from_u(alpha * w) >= w.  Each inner iterate evaluates v_from_u
-        once: ``invert_monotone`` asks for the slope at the iterate whose
-        value it has just computed, so the slope reuses that v.
+        w_from_u(alpha * w) >= w.
         """
         w_arr, scalar = _as_array(w)
         if np.any(w_arr < 0):
@@ -217,20 +215,13 @@ class Kinetics:
         if w_arr.size == 0:
             return w_arr.copy()
         hi = self.alpha * w_arr * (1.0 + 1e-12)
-        seen = [None, None]  # the last iterate handed to f, and v there
 
-        def f(s):
-            v = self.v_from_u(s)
-            seen[:] = s, v
-            return s / self.alpha + v / self.beta
-
-        def df(s):
-            v = seen[1] if s is seen[0] else self.v_from_u(s)
+        def slope(s):
             with np.errstate(divide="ignore", invalid="ignore"):
-                ep = self.rate_u.deriv(s) / self.rate_v.deriv(v)
+                ep = self.rate_u.deriv(s) / self.rate_v.deriv(self.v_from_u(s))
             return 1.0 / self.alpha + ep / self.beta
 
-        out = invert_monotone(f, df, w_arr, 0.0, hi, tol=tol)
+        out = invert_monotone(self.w_from_u, slope, w_arr, 0.0, hi, tol=tol)
         return out.item() if scalar else out
 
     def v_from_w(self, w, tol: float = TOL_INV):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from fvreact.errors import ConfigError
 from fvreact.experiment import (ExperimentConfig, emit_plot_data, load_config,
                                 preset_config, preset_names, run, sweep)
+from fvreact.mesh import build_time_grid_ramped
 
 
 def tiny_config(**overrides):
@@ -320,6 +322,51 @@ def test_cli_rejects_oversized_integers(tmp_path, capsys, field, value):
     assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
     assert "must be an integer in [1, " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("final_time", [100.0, 1e11])
+def test_ramped_grid_with_growth_1_is_rejected(tmp_path, capsys, final_time):
+    # growth 1 from a 1e-8 s first step needs 1e10 (T = 100 s) or 1e19
+    # (T = 1e11 s) levels; this once passed validation, and run appended
+    # levels until memory ran out.  from_dict must reject it first, so the
+    # grid is never built
+    from fvreact.cli import main
+
+    raw = tiny_config(time={"kind": "ramped", "final_time": final_time,
+                            "initial_step": 1e-8, "growth": 1,
+                            "limit_initial_step": 1e-6})
+    with pytest.raises(ConfigError, match="more than 1000000"):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["validate-config", "-c", str(cfg_path)]) == 2
+    assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
+    assert "time.initial_step and time.growth give" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ramped_step_count_matches_the_built_grid():
+    # the closed form from_dict checks against MAX_STEPS counts the steps
+    # build_time_grid_ramped makes: exactly on every preset, and within the
+    # one step a merged end sliver saves on seeded random grids
+    from fvreact.experiment import _ramped_steps
+
+    for name in preset_names():
+        cfg = ExperimentConfig.from_dict(preset_config(name))
+        for dt0, grid in ((cfg.initial_step, cfg.build_grid()),
+                          (cfg.limit_initial_step, cfg.build_limit_grid())):
+            steps = math.ceil(_ramped_steps(dt0, cfg.growth, cfg.final_time))
+            assert steps == grid.n_steps, name
+    rng = np.random.default_rng(25)
+    cases = [(1e-8, 1e300, 1e10)]  # T (g - 1)/dt0 overflows
+    for _ in range(200):
+        dt0 = 10.0 ** rng.uniform(-9, 0)
+        growth = float(rng.choice([1.0, 1.0 + 10.0 ** rng.uniform(-4, 0)]))
+        cases.append((dt0, growth, dt0 * 10.0 ** rng.uniform(0, 3.5)))
+    for dt0, growth, final_time in cases:
+        grid = build_time_grid_ramped(dt0, growth, final_time)
+        steps = math.ceil(_ramped_steps(dt0, growth, final_time))
+        assert 0 <= steps - grid.n_steps <= 1, (dt0, growth, final_time)
 
 
 def test_cli_solver_failure_exit_code(tmp_path):

@@ -158,8 +158,8 @@ BOTH_KINETICS = pytest.mark.parametrize("make", [
 
 @BOTH_KINETICS
 def test_u_from_w_matches_plain_inversion(make):
-    # sharing v_from_u between value and slope must not move a bit of the
-    # root: same iterates as inverting w_from_u with the chain-rule slope
+    # u_from_w is invert_monotone on w_from_u with the chain-rule slope,
+    # over the a-priori bracket [0, alpha w]: the same root to the bit
     kin = make()
     w = W_SAMPLES
     hi = kin.alpha * w * (1.0 + 1e-12)

@@ -288,6 +288,32 @@ def test_step_w_from_z_matches_step_from_w_on_presets(preset):
             state.level
 
 
+def test_limit_mass_change_is_bounded_by_the_residual():
+    # W(z) is nonlinear, so a limit step conserves mass only to its
+    # converged residual: along the T = 1e11 s limit run, each step's
+    # |sum m (w - w_prev)| = |sum r| is at most that step's reported scaled
+    # residual times sum m max(1, |z|), plus rounding
+    eps = np.finfo(float).eps
+    cfg = ExperimentConfig.from_dict(preset_config("dimerisation-tmax2"))
+    mesh, kin = cfg.build_mesh(), cfg.build_kinetics()
+    u0, v0 = cfg.initial_profiles()
+    traj = integrate_w(mesh, kin, cfg.build_limit_grid(),
+                       project_initial_w(mesh, kin, u0, v0,
+                                         cfg.quadrature_points), cfg.solver)
+    m = mesh.volumes
+    phi = kin.maps_in_z()[0]
+    for prev, new, stats in zip(traj.states, traj.states[1:], traj.stats):
+        change = abs(np.sum(m * (new.w - prev.w)))
+        bound = stats.residual * np.sum(m * np.maximum(1.0, np.abs(new.z)))
+        rounding = 4.0 * eps * np.sum(
+            m * (np.abs(prev.w) + np.abs(new.w))
+            + 2.0 * stats.dt * mesh.deg * np.abs(phi(new.z)[1]))
+        assert change <= bound + rounding, stats.level
+    mass = np.sum(m * traj.states[0].w)
+    drift = max(abs(np.sum(m * s.w) - mass) for s in traj.states) / mass
+    assert drift < 1e-10
+
+
 def _csv_writer_bytes(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

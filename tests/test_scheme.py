@@ -147,6 +147,40 @@ def test_step_conserves_weighted_mass():
     assert mass_new == pytest.approx(mass, rel=1e-12)
 
 
+def test_step_keeps_the_w_balance_at_rounding_level():
+    # the w-combination of the coupled rows is linear in (u, v): the
+    # reaction terms cancel and the fluxes sum to zero over the cells, so
+    # every Newton iterate from the previous state keeps sum m (w - w_prev)
+    # at rounding level, measured against the size of the terms that cancel
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(25)
+    converged = 0
+    for trial in range(120):
+        k = (0.0, 1.0, 1e3, 1e9)[trial % 4]
+        kin = dimer(k=k)
+        n = int(rng.integers(1, 31))
+        dt = 10.0 ** rng.uniform(-8.0, 12.0)
+        mesh = build_uniform_1d(0.1, n)
+        prev = State(u=rng.uniform(0.0, 0.5, n), v=rng.uniform(0.0, 0.25, n),
+                     level=0, time=0.0)
+        try:
+            new, _ = step(mesh, kin, dt, prev)
+        except NonConvergenceError:
+            continue
+        converged += 1
+        m, a, b = mesh.volumes, kin.alpha, kin.beta
+        balance = np.sum(m * ((new.u - prev.u) / a + (new.v - prev.v) / b))
+        terms = np.sum(
+            m * (np.abs(prev.u) / a + np.abs(prev.v) / b
+                 + np.abs(new.u) / a + np.abs(new.v) / b)
+            + 2.0 * dt * mesh.deg * (kin.diff_u * np.abs(new.u) / a
+                                     + kin.diff_v * np.abs(new.v) / b)
+            + 2.0 * dt * k * m * (kin.rate_u.value(new.u)
+                                  + kin.rate_v.value(new.v)))
+        assert abs(balance) <= 4.0 * eps * terms, (k, dt, n)
+    assert converged >= 110
+
+
 def _fd_jacobian(fn, z, rel=1e-6):
     """Central-difference Jacobian of fn at z, one column per unknown."""
     cols = []
@@ -344,6 +378,48 @@ def test_newton_result_counts_its_callbacks(monkeypatch):
             result.iterations > 0
     assert [r.residual > SolverConfig().newton_tol
             for r, _ in results] == [False, False, True]
+
+
+def test_newton_returns_at_convergence(monkeypatch):
+    # on a converging coupled step and a converging limit step, Newton
+    # stops at the first residual <= newton_tol: history[-1] is that entry,
+    # and no correction is solved at a converged iterate
+    tol = SolverConfig().newton_tol
+    results = []
+    damped_newton = scheme.damped_newton
+
+    def recording_newton(z0, residual_fn, solve_fn, norm_fn, *args,
+                         **kwargs):
+        solved_at = []
+
+        def recorded_solve(z, r):
+            solved_at.append(norm_fn(z, r))
+            return solve_fn(z, r)
+
+        result = damped_newton(z0, residual_fn, recorded_solve, norm_fn,
+                               *args, **kwargs)
+        results.append((result, solved_at))
+        return result
+
+    monkeypatch.setattr(scheme, "damped_newton", recording_newton)
+    monkeypatch.setattr(limit, "damped_newton", recording_newton)
+    mesh = build_uniform_1d(0.1, 16)
+    kin = dimer(k=1e3)
+    rng = np.random.default_rng(2)
+    prev = State(u=rng.uniform(0.05, 0.5, 16), v=rng.uniform(0.05, 0.25, 16),
+                 level=0, time=0.0)
+    step(mesh, kin, 1e3, prev)
+    limit.step_w(mesh, kin, 1e3,
+                 limit.WState(w=prev.u / kin.alpha + prev.v / kin.beta,
+                              level=0, time=0.0))
+    assert len(results) == 2
+    for result, solved_at in results:
+        assert result.converged and result.residual <= tol
+        assert result.history[-1] == result.residual
+        assert all(h > tol for h in result.history[:-1])
+        assert len(solved_at) == result.linear_solves \
+            == len(result.history) - 1 == result.iterations
+        assert all(res > tol for res in solved_at)
 
 
 def test_import_does_not_load_scipy():
