@@ -14,6 +14,7 @@ documented exception).
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -21,8 +22,10 @@ import math
 import sys
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin
 
 import numpy as np
 
@@ -52,6 +55,10 @@ _PRESET_IC = "demo-bands"
 # MAX_STEPS bounds the steps of every time grid, uniform or ramped.
 MAX_STEPS = 10 ** 6
 MAX_QUADRATURE_POINTS = 100
+# MAX_WORK bounds (steps + 1) * n_cells on the larger of the two time grids:
+# a run keeps every level, u and v on the coupled grid and w and z on the
+# limit grid, 8 bytes each, so it bounds the stored states by 0.32 GB.
+MAX_WORK = 10 ** 7
 
 # Reversible dimerisation demo: a silane monomer/dimer pair.
 _DEMO_KINETICS = {
@@ -112,246 +119,253 @@ def preset_config(name: str) -> dict:
         f"unknown preset {name!r}; available: {preset_names()}")
 
 
+# -- config schema ----------------------------------------------------------
+
+_REQUIRED = object()
+_ANY = "(-inf, inf)"
+
+
+class Field(NamedTuple):
+    """One config field: its type, the interval that its numbers (list
+    entries too) lie in, and its default.  A field without a default is
+    required; a default of None leaves it out when absent.  A list may be
+    empty only where its default is the empty list."""
+
+    type: object
+    bounds: str = _ANY
+    default: object = _REQUIRED
+
+
+_POSITIVE = Field(float, "(0, inf)")
+_NONNEGATIVE = "[0, inf)"
+
+# One table per kind of time grid and per form of initial data.
+
+_TIME = {
+    "uniform": {"kind": Field(Literal["uniform"]), "final_time": _POSITIVE,
+                "n_steps": Field(int, f"[1, {MAX_STEPS}]")},
+    "ramped": {"kind": Field(Literal["ramped"]), "final_time": _POSITIVE,
+               "initial_step": _POSITIVE,
+               "growth": Field(float, "[1, inf)", 1.05),
+               # absent: from_dict sets it to initial_step
+               "limit_initial_step": Field(float, "(0, inf)", None)},
+}
+
+_INITIAL = {
+    "preset": {"preset": Field(Literal[_PRESET_IC])},
+    "tabulated": {"tabulated": {"x": Field(list[float]),
+                                "u": Field(list[float], _NONNEGATIVE),
+                                "v": Field(list[float], _NONNEGATIVE)}},
+}
+
+
+def _time_section(d) -> dict:
+    if not isinstance(d, dict) or d.get("kind") not in tuple(_TIME):
+        raise ConfigError(f"time.kind must be one of {tuple(_TIME)}")
+    return _walk(d, _TIME[d["kind"]], "time")
+
+
+def _initial_section(d) -> dict:
+    key = next(iter(d)) if isinstance(d, dict) and len(d) == 1 else None
+    if key not in _INITIAL:
+        raise ConfigError(
+            "initial must contain exactly one of 'preset' or 'tabulated'")
+    spec = _walk(d, _INITIAL[key], "initial")
+    if key == "tabulated":
+        x, u, v = spec["tabulated"].values()
+        if len(x) < 2 or len(u) != len(x) or len(v) != len(x):
+            raise ConfigError(
+                "initial.tabulated arrays must have equal length, >= 2 points")
+        if any(b <= a for a, b in zip(x, x[1:])):
+            raise ConfigError("initial.tabulated.x must increase strictly")
+    return spec
+
+
+def _kinetics_section(d) -> dict:
+    try:
+        kinetics_from_dict(d)  # validate now, rebuild per run later
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"kinetics: {exc}") from exc
+    return dict(d)
+
+
+def _solver_section(d) -> dict:
+    try:
+        return asdict(SolverConfig(**d))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver: {exc}") from exc
+
+
+# The whole config.  Each section is a table of fields, or a function that
+# checks it and returns its normalized form: kinetics_from_dict and
+# SolverConfig own the fields of theirs.
+
+_SCHEMA = {
+    "mesh": {"domain_length": _POSITIVE, "n_cells": Field(int, "[1, inf)")},
+    "time": _time_section,
+    "kinetics": _kinetics_section,
+    "initial": _initial_section,
+    "solver": _solver_section,
+    "quadrature_points": Field(int, f"[1, {MAX_QUADRATURE_POINTS}]", 1),
+    "output": {"levels": Field(Literal["all"] | list[int], _NONNEGATIVE,
+                               "all")},
+    "diagnostics": {"entropy": Field(bool, default=True),
+                    "translate_shifts": Field(list[float], _NONNEGATIVE, []),
+                    "translate_lags": Field(list[float], _NONNEGATIVE, [])},
+    "sweep": Field(list[float], _NONNEGATIVE, None),
+}
+
+
+def _walk(raw, table: dict, path: str) -> dict:
+    """Check ``raw`` against ``table`` and return it normalized, with every
+    default filled in.  An absent section is checked as an empty one."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"{path or 'config'}: unknown fields {unknown}")
+    out = {}
+    for name, entry in table.items():
+        where = f"{path}.{name}" if path else name
+        if callable(entry):
+            out[name] = entry(raw.get(name, {}))
+        elif isinstance(entry, dict):
+            out[name] = _walk(raw.get(name, {}), entry, where)
+        elif name in raw:
+            empty_ok = entry.default == []
+            out[name] = _value(raw[name], entry.type, entry.bounds, empty_ok)
+            if out[name] is None:
+                tail = "" if entry.bounds == _ANY else f" in {entry.bounds}"
+                raise ConfigError(
+                    f"{where} must be {_describe(entry.type, empty_ok)}{tail}")
+        elif entry.default is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        elif entry.default is not None:
+            out[name] = copy.copy(entry.default)
+    return out
+
+
+def _value(val, kind, bounds: str, empty_ok: bool):
+    """``val`` as a value of type ``kind`` within ``bounds`` (ints become
+    floats where the type is float), or None if it is not one."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Literal:
+        return val if isinstance(val, str) and val in args else None
+    if origin in (Union, UnionType):
+        outs = (_value(val, alt, bounds, empty_ok) for alt in args)
+        return next((out for out in outs if out is not None), None)
+    if origin is list:
+        if not isinstance(val, list) or not (val or empty_ok):
+            return None
+        out = [_value(item, args[0], bounds, False) for item in val]
+        return None if None in out else out
+    if kind is bool:
+        return val if isinstance(val, bool) else None
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or kind is int and not isinstance(val, int) \
+            or kind is float and not abs(val) <= sys.float_info.max:
+        return None
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    inside = (low < val if bounds[0] == "(" else low <= val) \
+        and (val < high if bounds[-1] == ")" else val <= high)
+    return kind(val) if inside else None
+
+
+def _describe(kind, empty_ok: bool) -> str:
+    if get_origin(kind) in (Literal, Union, UnionType):
+        return " or ".join(repr(alt) if isinstance(alt, str)
+                           else _describe(alt, empty_ok)
+                           for alt in get_args(kind))
+    if get_origin(kind) is list:
+        items = "integers" if get_args(kind)[0] is int else "finite numbers"
+        return f"a {'' if empty_ok else 'nonempty '}list of {items}"
+    return {float: "a finite number", int: "an integer",
+            bool: "true or false"}[kind]
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Validated, normalized experiment description."""
+    """A validated experiment: ``spec`` is the config dict that
+    ``from_dict`` checked against the schema, with every default filled in.
+    """
 
-    domain_length: float
-    n_cells: int
-    time_kind: str
-    final_time: float
-    n_steps: int | None
-    initial_step: float | None
-    growth: float | None
-    limit_initial_step: float | None
-    kinetics_spec: dict
-    initial_spec: dict
-    solver: SolverConfig
-    sweep_values: tuple | None
-    quadrature_points: int
-    output_levels: tuple | None   # None = every level
-    entropy: bool
-    translate_shifts: tuple
-    translate_lags: tuple
+    spec: dict
 
-    # -- construction -------------------------------------------------
+    def __post_init__(self):
+        self.solver = SolverConfig(**self.spec["solver"])
+        self.quadrature_points = self.spec["quadrature_points"]
+        sweep = self.spec.get("sweep")
+        self.sweep_values = None if sweep is None else tuple(sweep)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        known = {"mesh", "time", "kinetics", "initial", "solver", "sweep",
-                 "quadrature_points", "output", "diagnostics"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {unknown}")
-        for req in ("mesh", "time", "kinetics", "initial"):
-            if req not in raw:
-                raise ConfigError(f"missing config section {req!r}")
-
-        mesh_d = _section(raw, "mesh", {"domain_length", "n_cells"},
-                          required={"domain_length", "n_cells"})
-        length = _number(mesh_d, "mesh.domain_length", positive=True)
-        n_cells = _integer(mesh_d, "mesh.n_cells", minimum=1)
-
-        time_d = _section(raw, "time",
-                          {"kind", "final_time", "n_steps", "initial_step",
-                           "growth", "limit_initial_step"},
-                          required={"kind", "final_time"})
-        kind = time_d["kind"]
-        final_time = _number(time_d, "time.final_time", positive=True)
-        n_steps = initial_step = growth = limit_t0 = None
-        if kind == "uniform":
-            if "n_steps" not in time_d:
-                raise ConfigError("time.n_steps is required for uniform grids")
-            for bad in ("initial_step", "growth", "limit_initial_step"):
-                if bad in time_d:
-                    raise ConfigError(f"time.{bad} does not apply to uniform grids")
-            n_steps = _integer(time_d, "time.n_steps", minimum=1,
-                               maximum=MAX_STEPS)
-        elif kind == "ramped":
-            if "n_steps" in time_d:
-                raise ConfigError("time.n_steps does not apply to ramped grids")
-            if "initial_step" not in time_d:
-                raise ConfigError("time.initial_step is required for ramped grids")
-            initial_step = _number(time_d, "time.initial_step", positive=True)
-            growth = _number(time_d, "time.growth", positive=True) \
-                if "growth" in time_d else 1.05
-            if growth < 1.0:
-                raise ConfigError("time.growth must be >= 1")
-            limit_t0 = _number(time_d, "time.limit_initial_step",
-                               positive=True) \
-                if "limit_initial_step" in time_d else initial_step
-            if initial_step > final_time or limit_t0 > final_time:
-                raise ConfigError("time.initial_step exceeds time.final_time")
-            for name, dt0 in (("initial_step", initial_step),
-                              ("limit_initial_step", limit_t0)):
-                steps = _ramped_steps(dt0, growth, final_time)
-                if steps > MAX_STEPS:
+        """Check each field against the schema, then the bounds that join
+        fields: each time grid's steps, the run's work and the translates."""
+        spec = _walk(raw, _SCHEMA, "")
+        mesh, time = spec["mesh"], spec["time"]
+        steps = time.get("n_steps", 0)
+        if time["kind"] == "ramped":
+            time.setdefault("limit_initial_step", time["initial_step"])
+            for name in ("initial_step", "limit_initial_step"):
+                if time[name] > time["final_time"]:
+                    raise ConfigError(f"time.{name} exceeds time.final_time")
+                n = _ramped_steps(time[name], time["growth"],
+                                  time["final_time"])
+                if n > MAX_STEPS:
                     raise ConfigError(
-                        f"time.{name} and time.growth give {steps:.3g} steps "
+                        f"time.{name} and time.growth give {n:.3g} steps "
                         f"to time.final_time, more than {MAX_STEPS}")
-        else:
+                steps = max(steps, math.ceil(n))
+        work = (steps + 1) * mesh["n_cells"]
+        if work > MAX_WORK:
             raise ConfigError(
-                f"time.kind must be 'uniform' or 'ramped', got {kind!r}")
-
-        kin_d = raw["kinetics"]
-        try:
-            kinetics_from_dict(kin_d)  # validate now, rebuild per job later
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"kinetics: {exc}") from exc
-
-        init_d = raw["initial"]
-        _validate_initial(init_d)
-
-        solver_d = _section(raw, "solver",
-                            {"newton_tol", "newton_max_iter"}) \
-            if "solver" in raw else {}
-        try:
-            solver = SolverConfig(**solver_d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"solver: {exc}") from exc
-
-        sweep_values = None
-        if "sweep" in raw:
-            if not isinstance(raw["sweep"], list) or not raw["sweep"]:
-                raise ConfigError("sweep must be a nonempty list of rate factors")
-            sweep_values = _float_list(raw["sweep"], "sweep")
-
-        quad = _integer(raw, "quadrature_points", 1, MAX_QUADRATURE_POINTS) \
-            if "quadrature_points" in raw else 1
-
-        out_d = _section(raw, "output", {"levels"}) if "output" in raw else {}
-        levels = out_d.get("levels", "all")
-        if levels == "all":
-            output_levels = None
-        elif isinstance(levels, list) and levels \
-                and all(isinstance(l, int) and not isinstance(l, bool)
-                        and l >= 0 for l in levels):
-            output_levels = tuple(sorted(set(levels)))
-        else:
+                f"mesh.n_cells times the time levels is {work}, "
+                f"more than {MAX_WORK}")
+        diag = spec["diagnostics"]
+        if any(s > mesh["domain_length"] for s in diag["translate_shifts"]):
             raise ConfigError(
-                "output.levels must be 'all' or a nonempty list of level indices")
-
-        diag_d = _section(raw, "diagnostics",
-                          {"entropy", "translate_shifts", "translate_lags"}) \
-            if "diagnostics" in raw else {}
-        entropy = diag_d.get("entropy", True)
-        if not isinstance(entropy, bool):
-            raise ConfigError("diagnostics.entropy must be a boolean")
-        shifts = _float_list(diag_d.get("translate_shifts", []),
-                             "diagnostics.translate_shifts")
-        lags = _float_list(diag_d.get("translate_lags", []),
-                           "diagnostics.translate_lags")
-
-        return cls(
-            domain_length=length, n_cells=n_cells,
-            time_kind=kind, final_time=final_time, n_steps=n_steps,
-            initial_step=initial_step, growth=growth,
-            limit_initial_step=limit_t0,
-            kinetics_spec=dict(kin_d), initial_spec=_normalize_initial(init_d),
-            solver=solver, sweep_values=sweep_values,
-            quadrature_points=quad, output_levels=output_levels,
-            entropy=entropy, translate_shifts=shifts, translate_lags=lags)
+                "diagnostics.translate_shifts exceed mesh.domain_length")
+        if any(lag > time["final_time"] for lag in diag["translate_lags"]):
+            raise ConfigError(
+                "diagnostics.translate_lags exceed time.final_time")
+        if spec["output"]["levels"] != "all":
+            spec["output"]["levels"] = sorted(set(spec["output"]["levels"]))
+        return cls(spec)
 
     def to_dict(self) -> dict:
         """Fully explicit dict form; from_dict(to_dict(c)) reproduces c."""
-        time_d: dict = {"kind": self.time_kind, "final_time": self.final_time}
-        if self.time_kind == "uniform":
-            time_d["n_steps"] = self.n_steps
-        else:
-            time_d["initial_step"] = self.initial_step
-            time_d["growth"] = self.growth
-            time_d["limit_initial_step"] = self.limit_initial_step
-        out: dict = {
-            "mesh": {"domain_length": self.domain_length,
-                     "n_cells": self.n_cells},
-            "time": time_d,
-            "kinetics": dict(self.kinetics_spec),
-            "initial": json.loads(json.dumps(self.initial_spec)),
-            "solver": {
-                "newton_tol": self.solver.newton_tol,
-                "newton_max_iter": self.solver.newton_max_iter,
-            },
-            "quadrature_points": self.quadrature_points,
-            "output": {"levels": "all" if self.output_levels is None
-                       else list(self.output_levels)},
-            "diagnostics": {
-                "entropy": self.entropy,
-                "translate_shifts": list(self.translate_shifts),
-                "translate_lags": list(self.translate_lags),
-            },
-        }
-        if self.sweep_values is not None:
-            out["sweep"] = list(self.sweep_values)
-        return out
-
-    # -- builders -------------------------------------------------------
+        return copy.deepcopy(self.spec)
 
     def build_mesh(self) -> Mesh:
-        return build_uniform_1d(self.domain_length, self.n_cells)
+        mesh = self.spec["mesh"]
+        return build_uniform_1d(mesh["domain_length"], mesh["n_cells"])
 
     def build_kinetics(self, rate_factor: float | None = None) -> Kinetics:
-        spec = dict(self.kinetics_spec)
+        spec = dict(self.spec["kinetics"])
         if rate_factor is not None:
             spec["k"] = rate_factor
         return kinetics_from_dict(spec)
 
     def build_grid(self) -> TimeGrid:
-        if self.time_kind == "uniform":
-            return build_time_grid_uniform(self.final_time, self.n_steps)
-        return build_time_grid_ramped(self.initial_step, self.growth,
-                                      self.final_time)
+        return self._grid("initial_step")
 
     def build_limit_grid(self) -> TimeGrid:
-        if self.time_kind == "uniform":
-            return build_time_grid_uniform(self.final_time, self.n_steps)
-        return build_time_grid_ramped(self.limit_initial_step, self.growth,
-                                      self.final_time)
+        return self._grid("limit_initial_step")
+
+    def _grid(self, first_step: str) -> TimeGrid:
+        time = self.spec["time"]
+        if time["kind"] == "uniform":
+            return build_time_grid_uniform(time["final_time"], time["n_steps"])
+        return build_time_grid_ramped(time[first_step], time["growth"],
+                                      time["final_time"])
 
     def initial_profiles(self):
-        spec = self.initial_spec
-        if "preset" in spec:
+        if "preset" in self.spec["initial"]:
             return _demo_bands_u0, _demo_bands_v0
-        tab = spec["tabulated"]
-        xs = np.asarray(tab["x"], dtype=float)
-        us = np.asarray(tab["u"], dtype=float)
-        vs = np.asarray(tab["v"], dtype=float)
+        xs, us, vs = (np.asarray(values, dtype=float) for values
+                      in self.spec["initial"]["tabulated"].values())
         return (lambda x: np.interp(x, xs, us),
                 lambda x: np.interp(x, xs, vs))
-
-
-def _section(raw: dict, name: str, allowed: set, required: set = frozenset()
-             ) -> dict:
-    d = raw[name]
-    if not isinstance(d, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{name}: unknown fields {unknown}")
-    missing = sorted(required - set(d))
-    if missing:
-        raise ConfigError(f"{name}: missing fields {missing}")
-    return d
-
-
-def _number(d: dict, path: str, positive: bool = False) -> float:
-    val = d[path.split(".")[-1]]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) \
-            or not math.isfinite(val):
-        raise ConfigError(f"{path} must be a finite number")
-    if positive and val <= 0:
-        raise ConfigError(f"{path} must be positive")
-    return float(val)
-
-
-def _integer(d: dict, path: str, minimum: int, maximum=math.inf) -> int:
-    val = d[path.split(".")[-1]]
-    if not isinstance(val, int) or isinstance(val, bool) \
-            or not minimum <= val <= maximum:
-        raise ConfigError(
-            f"{path} must be an integer in [{minimum}, {maximum}]")
-    return val
 
 
 def _ramped_steps(dt0: float, growth: float, final_time: float) -> float:
@@ -368,70 +382,19 @@ def _ramped_steps(dt0: float, growth: float, final_time: float) -> float:
     return math.log1p(x) / math.log(growth)
 
 
-def _float_list(vals, path: str) -> tuple:
-    if not isinstance(vals, list):
-        raise ConfigError(f"{path} must be a list of numbers")
-    out = []
-    for i, val in enumerate(vals):
-        if not isinstance(val, (int, float)) or isinstance(val, bool) \
-                or not math.isfinite(val) or val < 0:
-            raise ConfigError(f"{path}[{i}] must be a finite number >= 0")
-        out.append(float(val))
-    return tuple(out)
-
-
-def _validate_initial(spec) -> None:
-    if not isinstance(spec, dict):
-        raise ConfigError("initial must be an object")
-    keys = set(spec)
-    if keys == {"preset"}:
-        if spec["preset"] != _PRESET_IC:
-            raise ConfigError(
-                f"initial.preset must be {_PRESET_IC!r}, got {spec['preset']!r}")
-        return
-    if keys == {"tabulated"}:
-        tab = spec["tabulated"]
-        if not isinstance(tab, dict) or set(tab) != {"x", "u", "v"}:
-            raise ConfigError("initial.tabulated needs exactly x, u, v arrays")
-        try:
-            xs = np.asarray(tab["x"], dtype=float)
-            us = np.asarray(tab["u"], dtype=float)
-            vs = np.asarray(tab["v"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial.tabulated: {exc}") from exc
-        if xs.ndim != 1 or xs.size < 2 or us.shape != xs.shape \
-                or vs.shape != xs.shape:
-            raise ConfigError(
-                "initial.tabulated arrays must be 1D, equal length, >= 2 points")
-        if np.any(np.diff(xs) <= 0):
-            raise ConfigError("initial.tabulated x must be strictly increasing")
-        if np.any(us < 0) or np.any(vs < 0):
-            raise ConfigError("initial.tabulated values must be nonnegative")
-        return
-    raise ConfigError(
-        "initial must contain exactly one of 'preset' or 'tabulated'")
-
-
-def _normalize_initial(spec: dict) -> dict:
-    if "preset" in spec:
-        return {"preset": spec["preset"]}
-    tab = spec["tabulated"]
-    return {"tabulated": {"x": [float(x) for x in tab["x"]],
-                          "u": [float(u) for u in tab["u"]],
-                          "v": [float(v) for v in tab["v"]]}}
-
-
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python converts
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -463,9 +426,10 @@ def run(cfg: ExperimentConfig, outdir, write_mesh: bool = False,
     timings["limit_integrate"] = _time.perf_counter() - tic
 
     tic = _time.perf_counter()
+    diag = cfg.spec["diagnostics"]
     report = diagnostics_report(
-        mesh, grid, kin, traj, wtraj=wtraj, entropy=cfg.entropy,
-        shifts=cfg.translate_shifts, lags=cfg.translate_lags)
+        mesh, grid, kin, traj, wtraj=wtraj, entropy=diag["entropy"],
+        shifts=diag["translate_shifts"], lags=diag["translate_lags"])
     timings["diagnostics"] = _time.perf_counter() - tic
 
     files = _write_outputs(cfg, mesh, traj, wtraj, report, outdir, write_mesh)
@@ -484,9 +448,10 @@ def _write_outputs(cfg, mesh, traj, wtraj, report, outdir: Path,
     files = []
 
     def keep_set(n_steps: int) -> set:
-        if cfg.output_levels is None:
+        levels = cfg.spec["output"]["levels"]
+        if levels == "all":
             return set(range(n_steps + 1))
-        return {l for l in cfg.output_levels if l <= n_steps} | {n_steps}
+        return {l for l in levels if l <= n_steps} | {n_steps}
 
     path = outdir / "trajectory.csv"
     write_trajectory_csv(mesh, _subset(traj, keep_set(traj.final.level)), path)
@@ -568,13 +533,11 @@ def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    base = cfg.to_dict()
-    base.pop("sweep")
+    base = {name: spec for name, spec in cfg.spec.items() if name != "sweep"}
 
     def job(k: float) -> dict:
-        sub_raw = json.loads(json.dumps(base))
-        sub_raw["kinetics"]["k"] = k
-        sub = ExperimentConfig.from_dict(sub_raw)
+        sub = ExperimentConfig({**base, "kinetics": {**base["kinetics"],
+                                                     "k": k}})
         subdir = outdir / f"k_{k:.3e}"
         report = run(sub, subdir, write_mesh=write_mesh, echo=None)
         rec = {"k": k,

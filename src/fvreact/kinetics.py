@@ -19,6 +19,7 @@ guaranteed bracket, so it does not depend on starting guesses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -344,7 +345,7 @@ def kinetics_from_dict(spec: dict) -> Kinetics:
         "dimerisation": ("k1", "k2", "a", "b", "k"),
         "power-law": ("c_a", "p", "c_b", "q", "alpha", "beta", "a", "b", "k"),
     }
-    if name not in fields:
+    if not isinstance(name, str) or name not in fields:
         raise ValueError(
             f"unknown kinetics name {name!r}; expected one of {sorted(fields)}")
     missing = [f for f in fields[name] if f not in spec]
@@ -353,6 +354,12 @@ def kinetics_from_dict(spec: dict) -> Kinetics:
     extra = sorted(set(spec) - set(fields[name]) - {"name"})
     if extra:
         raise ValueError(f"kinetics {name!r} has unknown fields: {extra}")
+    bad = [f for f in fields[name] if isinstance(spec[f], bool)
+           or not isinstance(spec[f], (int, float))
+           or not abs(spec[f]) <= sys.float_info.max]
+    if bad:
+        raise ValueError(f"kinetics {name!r} fields must be finite numbers: "
+                         f"{bad}")
     vals = {f: float(spec[f]) for f in fields[name]}
     if name == "dimerisation":
         return dimerisation_kinetics(

@@ -152,7 +152,7 @@ def build_time_grid_ramped(initial_step: float, growth: float,
 
     Steps run initial_step, initial_step * growth, ... and the final step is
     shortened to hit final_time exactly.  A sliver smaller than 1e-9 of the
-    current step is merged into the previous one instead of producing a
+    last step taken is merged into that step instead of producing a
     degenerate level.
     """
     if initial_step <= 0:
@@ -167,7 +167,7 @@ def build_time_grid_ramped(initial_step: float, growth: float,
         t += dt
         levels.append(t)
         dt *= growth
-    if len(levels) > 1 and final_time - levels[-1] < 1e-9 * dt:
+    if len(levels) > 1 and final_time - t < 1e-9 * (t - levels[-2]):
         levels[-1] = final_time
     else:
         levels.append(final_time)

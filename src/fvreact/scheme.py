@@ -21,6 +21,7 @@ states are still required to be nonnegative within slack.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +92,13 @@ class SolverConfig:
     newton_max_iter: int = 40
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        tol, max_iter = self.newton_tol, self.newton_max_iter
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+                or not 0 < tol <= sys.float_info.max:
+            raise ValueError("newton_tol must be a finite positive number")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, int) \
+                or max_iter < 1:
+            raise ValueError("newton_max_iter must be an integer >= 1")
 
 
 @dataclass(frozen=True)

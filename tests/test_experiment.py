@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -94,6 +95,32 @@ def test_tabulated_initial_interpolates():
     (lambda r: r.__setitem__("solver", {"linear_solver": "dense-direct"}),
      "linear_solver"),
     (lambda r: r.__setitem__("solver", {"linesearch": False}), "linesearch"),
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": math.inf}),
+                 "newton_tol", id="newton_tol-inf"),
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": math.nan}),
+                 "newton_tol", id="newton_tol-nan"),
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": True}),
+                 "newton_tol", id="newton_tol-true"),
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_max_iter": 2.5}),
+                 "newton_max_iter", id="newton_max_iter-2.5"),
+    pytest.param(lambda r: r["kinetics"].__setitem__("k", "1e3"),
+                 "kinetics", id="k-string"),
+    pytest.param(lambda r: r["kinetics"].__setitem__("k", True),
+                 "kinetics", id="k-true"),
+    pytest.param(lambda r: r.__setitem__("initial", {"tabulated": {
+        "x": [0.0, 0.1], "u": [0.0, math.nan], "v": [0.0, 0.0]}}),
+        "tabulated", id="tabulated-nan"),
+    pytest.param(lambda r: r.__setitem__("initial", {"tabulated": {
+        "x": [0.0, 0.1], "u": [0.0, 0.0], "v": [math.inf, 0.0]}}),
+        "tabulated", id="tabulated-inf"),
+    pytest.param(lambda r: r.__setitem__("diagnostics",
+                                         {"translate_shifts": [0.2]}),
+                 "translate_shifts", id="shift-above-domain"),
+    pytest.param(lambda r: r.__setitem__("diagnostics",
+                                         {"translate_lags": [1e-3]}),
+                 "translate_lags", id="lag-above-final-time"),
+    pytest.param(lambda r: r["mesh"].__setitem__("n_cells", 2 ** 62),
+                 "n_cells", id="work-bound"),
 ])
 def test_validation_errors_name_the_field(mangle, needle):
     raw = tiny_config()
@@ -101,6 +128,28 @@ def test_validation_errors_name_the_field(mangle, needle):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
     assert needle in str(err.value)
+
+
+def test_work_bound_counts_cells_times_levels_of_the_larger_grid():
+    # MAX_WORK bounds (steps + 1) * n_cells before anything is allocated
+    from fvreact.experiment import MAX_WORK
+
+    uniform = {"kind": "uniform", "final_time": 1.0, "n_steps": 9}
+    n_cells = MAX_WORK // 10
+    ExperimentConfig.from_dict(tiny_config(
+        time=uniform, mesh={"domain_length": 0.1, "n_cells": n_cells}))
+    with pytest.raises(ConfigError, match="n_cells"):
+        ExperimentConfig.from_dict(tiny_config(
+            time=uniform, mesh={"domain_length": 0.1, "n_cells": n_cells + 1}))
+    # the ramped grids of tiny_config have 22 (coupled) and 14 (limit) steps
+    cfg = ExperimentConfig.from_dict(tiny_config())
+    assert cfg.build_grid().n_steps == 22
+    n_cells = MAX_WORK // 23
+    ExperimentConfig.from_dict(tiny_config(
+        mesh={"domain_length": 0.1, "n_cells": n_cells}))
+    with pytest.raises(ConfigError, match="n_cells"):
+        ExperimentConfig.from_dict(tiny_config(
+            mesh={"domain_length": 0.1, "n_cells": n_cells + 1}))
 
 
 def test_tabulated_initial_validation():
@@ -353,12 +402,19 @@ def test_ramped_step_count_matches_the_built_grid():
 
     for name in preset_names():
         cfg = ExperimentConfig.from_dict(preset_config(name))
-        for dt0, grid in ((cfg.initial_step, cfg.build_grid()),
-                          (cfg.limit_initial_step, cfg.build_limit_grid())):
-            steps = math.ceil(_ramped_steps(dt0, cfg.growth, cfg.final_time))
+        time = cfg.to_dict()["time"]
+        for dt0, grid in ((time["initial_step"], cfg.build_grid()),
+                          (time["limit_initial_step"], cfg.build_limit_grid())):
+            steps = math.ceil(_ramped_steps(dt0, time["growth"],
+                                            time["final_time"]))
             assert steps == grid.n_steps, name
+    # T (g - 1)/dt0 overflows; the end sliver is compared with the step
+    # just taken, not the grown one, so the first step stays 1e-8 s
+    grid = build_time_grid_ramped(1e-8, 1e300, 1e10)
+    assert grid.steps[0] == 1e-8
+    assert grid.n_steps == math.ceil(_ramped_steps(1e-8, 1e300, 1e10)) == 2
     rng = np.random.default_rng(25)
-    cases = [(1e-8, 1e300, 1e10)]  # T (g - 1)/dt0 overflows
+    cases = []
     for _ in range(200):
         dt0 = 10.0 ** rng.uniform(-9, 0)
         growth = float(rng.choice([1.0, 1.0 + 10.0 ** rng.uniform(-4, 0)]))
@@ -406,3 +462,125 @@ def test_cli_sweep(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep_summary.csv").exists()
     assert "swept 2 rate factors" in proc.stdout
+
+
+# -- the CLI contract under config mutations ---------------------------------
+
+def _small_bases() -> dict:
+    """Each preset in its normalized form, on 4 cells with steps growing
+    1.5x (the sweep over the two ends of its rate factors), plus the first
+    with tabulated initial data: small enough to run in milliseconds."""
+    bases = {}
+    for name in preset_names():
+        raw = ExperimentConfig.from_dict(preset_config(name)).to_dict()
+        raw["mesh"]["n_cells"] = 4
+        raw["time"]["growth"] = 1.5
+        if "sweep" in raw:
+            raw["sweep"] = [raw["sweep"][0], raw["sweep"][-1]]
+        bases[name] = raw
+    tab = copy.deepcopy(bases["dimerisation-tmax1"])
+    tab["initial"] = {"tabulated": {"x": [0.0, 0.05, 0.1],
+                                    "u": [0.0, 0.5, 0.0],
+                                    "v": [0.25, 0.0, 0.0]}}
+    bases["tabulated"] = tab
+    return bases
+
+
+def _paths(node, path=()):
+    """The path of every field, section and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        yield path + (key,)
+        yield from _paths(val, path + (key,))
+
+
+def _edited(raw, path, change):
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    change(node, path[-1])
+    return out
+
+
+def _mutants(raw):
+    """(kind, path, config) for each mutation of ``raw``.  Every kind but
+    "drop" must be rejected."""
+    for path in _paths(raw):
+        node = raw
+        for key in path:
+            node = node[key]
+        yield "drop", path, _edited(raw, path, lambda n, k: n.pop(k))
+        if isinstance(node, bool):
+            others = [1, "true"]
+        elif isinstance(node, (int, float)):
+            # bool is the sneakiest: Python takes it for the integer 0 or 1
+            others = [True, str(node)] + ([node + 0.5]
+                                          if isinstance(node, int) else [])
+            for value in (math.nan, math.inf, -math.inf):
+                yield "non-finite", path, _edited(
+                    raw, path, lambda n, k: n.__setitem__(k, value))
+            if node > 0:
+                yield "range", path, _edited(
+                    raw, path, lambda n, k: n.__setitem__(k, -node))
+        else:
+            others = [1, None, []] if isinstance(node, str) else ["x", []] \
+                if isinstance(node, dict) else ["x", {}]
+        for value in others:
+            yield "type", path, _edited(
+                raw, path, lambda n, k: n.__setitem__(k, value))
+        if isinstance(node, dict):
+            yield "unknown", path, _edited(
+                raw, path, lambda n, k: n[k].__setitem__("unknown_field", 1))
+    yield "unknown", (), {**raw, "unknown_section": {}}
+    # bounds that join fields, and a float past the double range
+    for path, value in [(("mesh", "n_cells"), 2 ** 62),
+                        (("mesh", "domain_length"), 10 ** 400),
+                        (("diagnostics", "translate_shifts"), [0.2]),
+                        (("diagnostics", "translate_lags"), [2e11]),
+                        (("time", "initial_step"), 2e11),
+                        (("quadrature_points",), 101)]:
+        yield "range", path, _edited(
+            raw, path, lambda n, k: n.__setitem__(k, value))
+
+
+def test_cli_contract_under_config_mutations(tmp_path, capsys):
+    # every mutant of every preset exits 0, 2, 3 or 4 and never raises:
+    # validate-config rejects each mutant that is not a dropped field with
+    # exit 2, and a seeded sample of the accepted ones also runs
+    from fvreact.cli import main
+
+    def exit_code(*argv):
+        try:
+            return main(list(argv))
+        except Exception as exc:  # the contract under test: never raise
+            return repr(exc)
+
+    rng = np.random.default_rng(26)
+    cfg_path = tmp_path / "c.json"
+    failures = []
+    for base, raw in _small_bases().items():
+        accepted = []
+        for kind, path, mutant in _mutants(raw):
+            cfg_path.write_text(json.dumps(mutant))
+            code = exit_code("validate-config", "-c", str(cfg_path))
+            if code not in ((0, 2) if kind == "drop" else (2,)):
+                failures.append((base, kind, path, code))
+            if code == 0:
+                accepted.append(mutant)
+        for i in rng.choice(len(accepted), size=2, replace=False):
+            cfg_path.write_text(json.dumps(accepted[i]))
+            command = "sweep" if "sweep" in accepted[i] else "run"
+            code = exit_code(command, "-c", str(cfg_path),
+                             "-o", str(tmp_path / f"{base}-{i}"))
+            if code not in (0, 2, 3, 4):
+                failures.append((base, command, accepted[i], code))
+    # files that are not a JSON config at all
+    for text in (b"\xff\xfe{", b'{"mesh": ' + b"1" * 5000 + b"}"):
+        cfg_path.write_bytes(text)
+        code = exit_code("validate-config", "-c", str(cfg_path))
+        if code != 2:
+            failures.append((text[:12], code))
+    capsys.readouterr()
+    assert not failures, failures

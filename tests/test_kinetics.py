@@ -265,6 +265,16 @@ def test_kinetics_from_dict_rejects_bad_specs():
                             "domain_bound": 1e6})
 
 
+@pytest.mark.parametrize("bad", ["1e3", True, None, [1.0], math.nan,
+                                 math.inf,
+                                 pytest.param(10 ** 400, id="10**400")])
+def test_kinetics_from_dict_rejects_non_numbers(bad):
+    spec = {"name": "dimerisation", "k1": K1, "k2": K2,
+            "a": DIFF_U, "b": DIFF_V, "k": bad}
+    with pytest.raises(ValueError, match=r"finite numbers: \['k'\]"):
+        kinetics_from_dict(spec)
+
+
 def test_rate_factor_zero_allowed():
     kin = dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V, rate_factor=0.0)
     assert kin.alpha_hat == 0.0
