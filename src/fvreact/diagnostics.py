@@ -8,11 +8,11 @@ given run actually did, and the report bundles them for export.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_rows
 from .kinetics import Kinetics, RateLaw
 from .mesh import Mesh, TimeGrid
 from .scheme import State, Trajectory
@@ -323,31 +323,21 @@ class DiagnosticsReport:
     translates: list[dict] | None = None
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["level", "t", "mass_w", "u_min", "u_max",
-                      "v_min", "v_max"]
-            if self.entropy is not None:
-                header.append("entropy")
-            writer.writerow(header)
-            for i in range(self.levels.size):
-                row = [int(self.levels[i]), repr(float(self.times[i])),
-                       repr(float(self.mass_w[i])),
-                       repr(float(self.u_min[i])), repr(float(self.u_max[i])),
-                       repr(float(self.v_min[i])), repr(float(self.v_max[i]))]
-                if self.entropy is not None:
-                    row.append(repr(float(self.entropy[i])))
-                writer.writerow(row)
+        names = ["mass_w", "u_min", "u_max", "v_min", "v_max"]
+        if self.entropy is not None:
+            names.append("entropy")
+        write_rows(path, ("level", "t", *names),
+                   [[list(map(str, self.levels.tolist())),
+                     *(list(map(repr, getattr(self, name).tolist()))
+                       for name in ("times", *names))]])
 
     def write_translates_csv(self, path) -> None:
         if self.translates is None:
             raise ValueError("no translate seminorms were computed")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["field", "kind", "displacement", "value"])
-            for rec in self.translates:
-                writer.writerow([rec["field"], rec["kind"],
-                                 repr(float(rec["displacement"])), repr(float(rec["value"]))])
+        rows = [(r["field"], r["kind"], repr(float(r["displacement"])),
+                 repr(float(r["value"]))) for r in self.translates]
+        write_rows(path, ("field", "kind", "displacement", "value"),
+                   [list(zip(*rows))])
 
     def summary(self) -> str:
         m0 = float(self.mass_w[0])

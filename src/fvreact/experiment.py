@@ -29,6 +29,7 @@ from typing import Literal, NamedTuple, Union, get_args, get_origin
 
 import numpy as np
 
+from ._csv import write_rows
 from .diagnostics import DiagnosticsReport, diagnostics_report
 from .errors import ConfigError
 from .kinetics import Kinetics, kinetics_from_dict
@@ -432,53 +433,43 @@ def run(cfg: ExperimentConfig, outdir, write_mesh: bool = False,
         shifts=diag["translate_shifts"], lags=diag["translate_lags"])
     timings["diagnostics"] = _time.perf_counter() - tic
 
+    tic = _time.perf_counter()
     files = _write_outputs(cfg, mesh, traj, wtraj, report, outdir, write_mesh)
+    timings["outputs"] = _time.perf_counter() - tic
     _write_manifest(cfg, outdir, files, timings, report)
     if echo is not None:
         echo(report.summary())
     return report
 
 
-def _subset(traj, keep: set):
-    return replace(traj, states=[s for s in traj.states if s.level in keep])
-
-
 def _write_outputs(cfg, mesh, traj, wtraj, report, outdir: Path,
                    write_mesh: bool) -> list[Path]:
-    files = []
+    """Write each output in manifest order and return the paths written.
+    The writers are looked up when this runs, so a patched one is used."""
+    levels = cfg.spec["output"]["levels"]
 
-    def keep_set(n_steps: int) -> set:
-        levels = cfg.spec["output"]["levels"]
+    def kept(t):
+        """``t`` cut to the configured levels and its own final level."""
         if levels == "all":
-            return set(range(n_steps + 1))
-        return {l for l in levels if l <= n_steps} | {n_steps}
+            return t
+        keep = set(levels) | {t.final.level}
+        return replace(t, states=[s for s in t.states if s.level in keep])
 
-    path = outdir / "trajectory.csv"
-    write_trajectory_csv(mesh, _subset(traj, keep_set(traj.final.level)), path)
-    files.append(path)
-    path = outdir / "trajectory_w.csv"
-    write_w_csv(mesh, _subset(wtraj, keep_set(wtraj.final.level)), path)
-    files.append(path)
-    path = outdir / "stats.csv"
-    write_stats_csv(traj, path)
-    files.append(path)
-    path = outdir / "stats_w.csv"
-    write_stats_csv(wtraj, path)
-    files.append(path)
-    path = outdir / "diagnostics.csv"
-    report.write_csv(path)
-    files.append(path)
-    if report.translates is not None:
-        path = outdir / "translates.csv"
-        report.write_translates_csv(path)
-        files.append(path)
-    if write_mesh:
-        path = outdir / "mesh.csv"
-        write_mesh_csv(mesh, path)
-        files.append(path)
-    path = outdir / "config.json"
-    path.write_text(canonical_config_json(cfg) + "\n")
-    files.append(path)
+    writers = {
+        "trajectory.csv": lambda p: write_trajectory_csv(mesh, kept(traj), p),
+        "trajectory_w.csv": lambda p: write_w_csv(mesh, kept(wtraj), p),
+        "stats.csv": lambda p: write_stats_csv(traj, p),
+        "stats_w.csv": lambda p: write_stats_csv(wtraj, p),
+        "diagnostics.csv": report.write_csv,
+        "translates.csv": report.write_translates_csv
+        if report.translates is not None else None,
+        "mesh.csv": (lambda p: write_mesh_csv(mesh, p)) if write_mesh else None,
+        "config.json": lambda p: p.write_text(canonical_config_json(cfg)
+                                              + "\n"),
+    }
+    files = [outdir / name for name, write in writers.items() if write]
+    for path in files:
+        writers[path.name](path)
     return files
 
 
@@ -555,13 +546,10 @@ def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(job, ks))
 
-    columns = ["k", "J_u", "J_v", "E_u", "E_v", "R"]
+    columns = ("k", "J_u", "J_v", "E_u", "E_v", "R")
     path = outdir / "sweep_summary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([repr(float(rec[c])) for c in columns])
+    write_rows(path, columns, [[[repr(float(rec[c])) for rec in records]
+                                for c in columns]])
     if echo is not None:
         echo(f"swept {len(records)} rate factors -> {path}")
         for rec in records:

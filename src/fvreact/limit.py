@@ -139,11 +139,10 @@ def _make_solve_fn_w(mesh: Mesh, dt: float, slopes):
 
 
 def integrate_w(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: WState,
-                cfg: SolverConfig | None = None,
-                output_levels=None) -> Trajectory:
-    """March the diffusion scheme over the whole grid; see scheme.integrate
-    for the output_levels convention."""
-    return _march(step_w, mesh, kin, grid, initial, cfg, output_levels)
+                cfg: SolverConfig | None = None) -> Trajectory:
+    """March the diffusion scheme over the whole grid, recording every
+    level."""
+    return _march(step_w, mesh, kin, grid, initial, cfg)
 
 
 def write_w_csv(mesh: Mesh, traj: Trajectory, path) -> None:

@@ -7,10 +7,11 @@ convention after construction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._csv import write_rows
 
 __all__ = [
     "Mesh",
@@ -176,9 +177,7 @@ def build_time_grid_ramped(initial_step: float, growth: float,
 
 def write_mesh_csv(mesh: Mesh, path) -> None:
     """Dump a cell summary (id, center coordinate, measure) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "x", "measure"])
-        for k in range(mesh.n_cells):
-            writer.writerow([k, repr(float(mesh.x[k])),
-                             repr(float(mesh.volumes[k]))])
+    write_rows(path, ("cell_id", "x", "measure"),
+               [[list(map(str, range(mesh.n_cells))),
+                 list(map(repr, mesh.x.tolist())),
+                 list(map(repr, mesh.volumes.tolist()))]])

@@ -20,12 +20,11 @@ states are still required to be nonnegative within slack.
 
 from __future__ import annotations
 
-import csv
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_rows
 from ._newton import NewtonResult, damped_newton, lapack_solve
 from .errors import ConsistencyError, NonConvergenceError
 from .kinetics import Kinetics, RateLaw
@@ -93,9 +92,10 @@ class SolverConfig:
 
     def __post_init__(self):
         tol, max_iter = self.newton_tol, self.newton_max_iter
+        # the residual is scaled: from 1 up, a step may stop at its first guess
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-                or not 0 < tol <= sys.float_info.max:
-            raise ValueError("newton_tol must be a finite positive number")
+                or not 0 < tol < 1:
+            raise ValueError("newton_tol must be a number in (0, 1)")
         if isinstance(max_iter, bool) or not isinstance(max_iter, int) \
                 or max_iter < 1:
             raise ValueError("newton_max_iter must be an integer >= 1")
@@ -130,12 +130,6 @@ class Trajectory:
     @property
     def final(self) -> State:
         return self.states[-1]
-
-    def state_at(self, level: int) -> State:
-        for s in self.states:
-            if s.level == level:
-                return s
-        raise KeyError(f"level {level} not recorded in trajectory")
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """(levels, times, *fields), each field shaped (n_recorded, n_cells):
@@ -358,47 +352,28 @@ def _check_step_bounds(kin, prev, u_new, v_new, newton_tol):
 # -- marching ---------------------------------------------------------------
 
 def integrate(mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial: State,
-              cfg: SolverConfig | None = None,
-              output_levels=None) -> Trajectory:
-    """March the scheme over the whole time grid.
-
-    output_levels: None records every level; otherwise an iterable of level
-    indices to record (the final level is always included).
-    """
-    return _march(step, mesh, kin, grid, initial, cfg, output_levels)
+              cfg: SolverConfig | None = None) -> Trajectory:
+    """March the scheme over the whole time grid, recording every level."""
+    return _march(step, mesh, kin, grid, initial, cfg)
 
 
 def _march(step_fn, mesh: Mesh, kin: Kinetics, grid: TimeGrid, initial,
-           cfg: SolverConfig | None, output_levels) -> Trajectory:
+           cfg: SolverConfig | None) -> Trajectory:
     """Apply ``step_fn`` over every step of the grid from a nonnegative
-    level-0 state, recording the levels ``output_levels`` selects."""
+    level-0 state, recording every level."""
     if initial.level != 0 or initial.time != 0.0:
         raise ValueError("integration starts from level 0 at time 0")
     if initial.n_cells != mesh.n_cells:
         raise ValueError("initial state size does not match the mesh")
     if any(np.any(getattr(initial, name) < 0) for name in initial.fields):
         raise ValueError("initial state must be nonnegative")
-    keep = _output_set(output_levels, grid.n_steps)
-    traj = Trajectory(states=[initial] if 0 in keep else [])
+    traj = Trajectory(states=[initial])
     state = initial
     for dt in grid.steps:
         state, st = step_fn(mesh, kin, float(dt), state, cfg)
         traj.stats.append(st)
-        if state.level in keep:
-            traj.states.append(state)
+        traj.states.append(state)
     return traj
-
-
-def _output_set(output_levels, n_steps: int) -> set[int]:
-    if output_levels is None:
-        return set(range(n_steps + 1))
-    keep = set()
-    for lv in output_levels:
-        if int(lv) != lv or lv < 0 or lv > n_steps:
-            raise ValueError(f"output level {lv!r} outside 0..{n_steps}")
-        keep.add(int(lv))
-    keep.add(n_steps)
-    return keep
 
 
 def ode_upper_solution(kin: Kinetics, grid: TimeGrid, u_bound: float,
@@ -419,7 +394,7 @@ def ode_upper_solution(kin: Kinetics, grid: TimeGrid, u_bound: float,
     initial = State(u=[float(u_bound)], v=[float(v_bound)], level=0,
                     time=0.0)
     _, _, ubar, vbar = _march(step, build_uniform_1d(1.0, 1), kin, grid,
-                              initial, cfg, None).arrays()
+                              initial, cfg).arrays()
     return ubar[:, 0], vbar[:, 0]
 
 
@@ -432,31 +407,23 @@ def write_trajectory_csv(mesh: Mesh, traj: Trajectory, path) -> None:
 
 def _write_cell_csv(mesh: Mesh, states, names, path) -> None:
     """Write one row (level, t, cell_id, x, *names) per state and cell;
-    ``names`` are the state class's ``fields``.
-
-    The bytes are those ``csv.writer`` writes for the same rows of repr'd
-    floats: no field needs quoting, and rows end in its default "\r\n".
-    Each state goes out as one string, and the cell_id,x prefixes are
-    formatted once per file.
-    """
+    ``names`` are the state class's ``fields``.  Each state is one block,
+    and the cell_id,x prefixes are formatted once per file."""
     cells = [f"{k},{xk!r}" for k, xk in enumerate(mesh.x.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("level", "t", "cell_id", "x", *names)) + "\r\n")
+
+    def blocks():
         for s in states:
             head = f"{s.level},{float(s.time)!r},"
-            fields = [[head + c for c in cells]]
-            fields += [list(map(repr, getattr(s, name).tolist()))
-                       for name in names]
-            fh.write("".join([row + "\r\n"
-                              for row in map(",".join, zip(*fields))]))
+            yield [[head + c for c in cells],
+                   *(list(map(repr, getattr(s, name).tolist()))
+                     for name in names)]
+
+    write_rows(path, ("level", "t", "cell_id", "x", *names), blocks())
 
 
 def write_stats_csv(traj: Trajectory, path) -> None:
     """Write per-step solver statistics as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "dt", "newton_iterations", "residual",
-                         "fallback"])
-        for st in traj.stats:
-            writer.writerow([st.level, repr(float(st.dt)), st.newton_iterations,
-                             repr(float(st.residual)), st.fallback])
+    rows = [(str(st.level), repr(float(st.dt)), str(st.newton_iterations),
+             repr(float(st.residual)), st.fallback) for st in traj.stats]
+    write_rows(path, ("level", "dt", "newton_iterations", "residual",
+                      "fallback"), [list(zip(*rows))])

@@ -325,8 +325,7 @@ def test_08_scheme_orders_pure_diffusion():
         mesh = build_uniform_1d(length, n_cells)
         grid = build_time_grid_uniform(final, n_steps)
         init = project_initial(mesh, u0, v0, n_quad=3)
-        return integrate(mesh, kin, grid, init,
-                         output_levels=[n_steps]).final
+        return integrate(mesh, kin, grid, init).final
 
     # spatial: common time grid so the temporal error cancels in differences
     ref = solve(512, 256)

@@ -101,6 +101,11 @@ def test_tabulated_initial_interpolates():
                  "newton_tol", id="newton_tol-nan"),
     pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": True}),
                  "newton_tol", id="newton_tol-true"),
+    # the residual is scaled: a tolerance of 1 or more stops at once
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": 1e300}),
+                 "newton_tol", id="newton_tol-1e300"),
+    pytest.param(lambda r: r.__setitem__("solver", {"newton_tol": 1}),
+                 "newton_tol", id="newton_tol-1"),
     pytest.param(lambda r: r.__setitem__("solver", {"newton_max_iter": 2.5}),
                  "newton_max_iter", id="newton_max_iter-2.5"),
     pytest.param(lambda r: r["kinetics"].__setitem__("k", "1e3"),
@@ -221,12 +226,27 @@ def test_run_rejects_sweep_config(tmp_path):
 
 
 def test_run_respects_output_level_subset(tmp_path):
+    def written(outdir, name):
+        rows = (outdir / name).read_text().strip().splitlines()
+        return sorted({int(r.split(",")[0]) for r in rows[1:]})
+
     cfg = ExperimentConfig.from_dict(tiny_config(output={"levels": [0]}))
     run(cfg, tmp_path / "out", echo=None)
-    rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()
-    levels = {int(r.split(",")[0]) for r in rows[1:]}
+    levels = written(tmp_path / "out", "trajectory.csv")
     assert 0 in levels
     assert len(levels) == 2  # level 0 plus the always-kept final level
+
+    # each file applies the levels to its own grid: a level past the limit
+    # grid's last step is written for the coupled run only, and each file
+    # keeps its own final level
+    n, n_w = cfg.build_grid().n_steps, cfg.build_limit_grid().n_steps
+    late = (n + n_w) // 2
+    assert n_w < late < n
+    cfg = ExperimentConfig.from_dict(
+        tiny_config(output={"levels": [0, late]}))
+    run(cfg, tmp_path / "late", echo=None)
+    assert written(tmp_path / "late", "trajectory.csv") == [0, late, n]
+    assert written(tmp_path / "late", "trajectory_w.csv") == [0, n_w]
 
 
 def test_sweep_runs_jobs_and_tabulates(tmp_path):

@@ -1,18 +1,23 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fvreact import experiment
 from fvreact._newton import damped_newton
+from fvreact.diagnostics import DiagnosticsReport
 from fvreact.errors import NonConvergenceError
 from fvreact.experiment import ExperimentConfig, preset_config
 from fvreact.kinetics import (Kinetics, dimerisation_kinetics,
                               power_law_kinetics)
-from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
+from fvreact.mesh import (Mesh, build_time_grid_uniform, build_uniform_1d,
+                          write_mesh_csv)
 from fvreact.limit import (WState, integrate_w, project_initial_w, step_w,
                            write_w_csv)
-from fvreact.scheme import (State, SolverConfig, Trajectory, _scaled_norm,
-                            integrate, project_initial, write_trajectory_csv)
+from fvreact.scheme import (State, SolverConfig, StepStats, Trajectory,
+                            _scaled_norm, integrate, project_initial,
+                            write_stats_csv, write_trajectory_csv)
 
 K1 = 1.072e-4
 K2 = 2.363e-6
@@ -111,16 +116,6 @@ def test_integrate_w_steady_state_long_time():
     assert np.max(np.abs(traj.final.w - mean)) < 1e-9
     levels, times, w = traj.arrays()
     assert w.shape == (51, 20)
-
-
-def test_integrate_w_records_requested_levels():
-    mesh = build_uniform_1d(0.1, 6)
-    kin = dimer()
-    grid = build_time_grid_uniform(100.0, 4)
-    winit = project_initial_w(mesh, kin, lambda x: 0.2 + 0 * x,
-                              lambda x: 0.1 + 0 * x)
-    traj = integrate_w(mesh, kin, grid, winit, output_levels=[1])
-    assert [s.level for s in traj.states] == [1, 4]
 
 
 def test_integrate_w_rejects_negative_initial():
@@ -322,28 +317,87 @@ def _csv_writer_bytes(path, header, rows):
     return path.read_bytes()
 
 
-def test_trajectory_writers_match_csv_writer(tmp_path):
-    # the writers format rows themselves; their bytes must equal those of
-    # csv.writer on the same rows of repr'd floats, for awkward floats too
-    mesh = build_uniform_1d(0.3, 5)
+def test_trajectory_writers_match_csv_writer(tmp_path, monkeypatch):
+    # every CSV output goes through one row writer; its bytes must equal
+    # those of csv.writer on the same rows of repr'd floats, for awkward
+    # floats too
     a = np.array([-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0])
     b = np.array([2.0, 0.0, 1e-300, 7.0, 0.1 + 0.2])
     times = [0.0, 0.1 + 0.2, 1e12]
-    traj = Trajectory(states=[State(u=np.roll(a, i), v=np.roll(b, i),
-                                    level=i, time=t)
-                              for i, t in enumerate(times)])
+    mesh = Mesh(edges=[-1e300, -0.0, -0.0, 0.1, 0.2, 1e300],
+                volumes=[5e-324, 1e300, 0.1 + 0.2, 3.0, 2.0],
+                transmissibilities=np.ones(4))
+    out = tmp_path / "out.csv"
+
+    def check(path, header, rows):
+        assert path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "ref.csv", header, rows), header
+
+    traj = Trajectory(
+        states=[State(u=np.roll(a, i), v=np.roll(b, i), level=i, time=t)
+                for i, t in enumerate(times)],
+        stats=[StepStats(level=i + 1, dt=dt, newton_iterations=i,
+                         residual=r)
+               for i, (dt, r) in enumerate(zip(a, b))])
     wtraj = Trajectory(states=[WState(w=np.roll(a, i), level=i, time=t)
                                for i, t in enumerate(times)])
     x = mesh.x
-    rows = [[s.level, repr(float(s.time)), k, repr(float(x[k])),
-             repr(float(s.u[k])), repr(float(s.v[k]))]
-            for s in traj.states for k in range(s.n_cells)]
-    write_trajectory_csv(mesh, traj, tmp_path / "traj.csv")
-    assert (tmp_path / "traj.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "ref.csv", ["level", "t", "cell_id", "x", "u", "v"], rows)
-    rows = [[s.level, repr(float(s.time)), k, repr(float(x[k])),
-             repr(float(s.w[k]))]
-            for s in wtraj.states for k in range(s.n_cells)]
-    write_w_csv(mesh, wtraj, tmp_path / "w.csv")
-    assert (tmp_path / "w.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "ref.csv", ["level", "t", "cell_id", "x", "w"], rows)
+    write_trajectory_csv(mesh, traj, out)
+    check(out, ["level", "t", "cell_id", "x", "u", "v"],
+          [[s.level, repr(float(s.time)), k, repr(float(x[k])),
+            repr(float(s.u[k])), repr(float(s.v[k]))]
+           for s in traj.states for k in range(s.n_cells)])
+    write_w_csv(mesh, wtraj, out)
+    check(out, ["level", "t", "cell_id", "x", "w"],
+          [[s.level, repr(float(s.time)), k, repr(float(x[k])),
+            repr(float(s.w[k]))]
+           for s in wtraj.states for k in range(s.n_cells)])
+    write_stats_csv(traj, out)  # fallback is the empty string
+    check(out, ["level", "dt", "newton_iterations", "residual", "fallback"],
+          [[st.level, repr(float(st.dt)), st.newton_iterations,
+            repr(float(st.residual)), st.fallback] for st in traj.stats])
+    write_mesh_csv(mesh, out)
+    check(out, ["cell_id", "x", "measure"],
+          [[k, repr(float(x[k])), repr(float(mesh.volumes[k]))]
+           for k in range(mesh.n_cells)])
+
+    columns = [a, np.roll(a, 1), b, np.roll(b, 2), -a]
+    rows = [[k, repr(float(times[k % 3] + k))]
+            + [repr(float(c[k])) for c in columns] for k in range(5)]
+    translates = [{"field": f, "kind": kind, "displacement": d, "value": v}
+                  for f, kind, d, v in zip("uvwuv", ["space", "time"] * 3,
+                                           a, b)]
+    header = ["level", "t", "mass_w", "u_min", "u_max", "v_min", "v_max"]
+    for entropy in (np.roll(b, 3), None):
+        report = DiagnosticsReport(
+            np.arange(5), np.array([r[1] for r in rows], dtype=float),
+            *columns, entropy=entropy, gradient_energy_u=0.0,
+            gradient_energy_v=0.0, reaction_defect=0.0,
+            translates=translates)
+        report.write_csv(out)
+        if entropy is None:
+            check(out, header, rows)
+        else:
+            check(out, header + ["entropy"],
+                  [r + [repr(float(e))] for r, e in zip(rows, entropy)])
+    report.write_translates_csv(out)
+    check(out, ["field", "kind", "displacement", "value"],
+          [[t["field"], t["kind"], repr(float(t["displacement"])),
+            repr(float(t["value"]))] for t in translates])
+
+    # the sweep summary, with the runs it tabulates stood in for
+    def fake_run(sub, subdir, write_mesh=False, echo=None):
+        k = sub.spec["kinetics"]["k"]
+        return SimpleNamespace(
+            gradient_energy_u=-k, gradient_energy_v=5e-324,
+            reaction_defect=1e300,
+            compare={"J_u": 0.1 + 0.2, "J_v": k, "final_time": 1.0})
+
+    monkeypatch.setattr(experiment, "run", fake_run)
+    raw = preset_config("dimerisation-sweep")
+    raw["sweep"] = [0.1 + 0.2, -0.0, 1e300, 5e-324]
+    experiment.sweep(ExperimentConfig.from_dict(raw), tmp_path, echo=None)
+    check(tmp_path / "sweep_summary.csv",
+          ["k", "J_u", "J_v", "E_u", "E_v", "R"],
+          [[repr(k), repr(0.1 + 0.2), repr(k), repr(-k), repr(5e-324),
+            repr(1e300)] for k in sorted(raw["sweep"])])

@@ -555,15 +555,6 @@ def test_integrate_records_all_levels():
     assert np.allclose(times, grid.levels)
 
 
-def test_integrate_subset_output_keeps_final():
-    mesh = build_uniform_1d(0.1, 6)
-    kin = dimer()
-    grid = build_time_grid_uniform(10.0, 4)
-    init = project_initial(mesh, lambda x: 0.2 + 0 * x, lambda x: 0.1 + 0 * x)
-    traj = integrate(mesh, kin, grid, init, output_levels=[0, 2])
-    assert [s.level for s in traj.states] == [0, 2, 4]
-
-
 def test_integrate_k_zero_decouples_into_heat_equations():
     # without reaction each species relaxes toward its own mean
     mesh = build_uniform_1d(0.1, 20)
@@ -585,15 +576,6 @@ def test_integrate_requires_initial_at_level_zero():
     bad = State(u=np.full(4, 0.1), v=np.full(4, 0.1), level=3, time=0.5)
     with pytest.raises(ValueError):
         integrate(mesh, kin, grid, bad)
-
-
-def test_integrate_rejects_unknown_output_level():
-    mesh = build_uniform_1d(0.1, 4)
-    kin = dimer()
-    grid = build_time_grid_uniform(1.0, 2)
-    init = project_initial(mesh, lambda x: 0.1 + 0 * x, lambda x: 0.1 + 0 * x)
-    with pytest.raises(ValueError):
-        integrate(mesh, kin, grid, init, output_levels=[5])
 
 
 # -- structure preservation (randomized) ----------------------------------------
