@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -21,9 +25,38 @@ class NewtonResult:
 
 
 @cache
+def _flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file next to scipy without importing the scipy.linalg
+    package, which would load ~85 more scipy modules (and numpy.f2py,
+    numpy.testing and numpy.ma): 17-20 MB of peak memory and ~0.2 s of a
+    cold start.  scipy's top level is imported first: on some platforms
+    its init sets up the path of the bundled LAPACK library.
+    ``importlib.util.find_spec`` is not used, because it imports the
+    parent package.  The module is entered in ``sys.modules``, so a later
+    ``import scipy.linalg`` uses it."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension in {folder}")
+    spec = spec_from_loader(name, ExtensionFileLoader(name, str(path)))
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@cache
 def _lapack(name: str):
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs((name,))[0]
+    """The float64 LAPACK routine ``d<name>``: the object that
+    ``scipy.linalg.get_lapack_funcs`` returns for float64 arrays, which
+    picks it from the same module."""
+    return getattr(_flapack(), "d" + name)
 
 
 def lapack_solve(name: str, *args, **overwrite) -> np.ndarray:
@@ -31,7 +64,10 @@ def lapack_solve(name: str, *args, **overwrite) -> np.ndarray:
     ``gtsv(dl, d, du, b)`` as ``scipy.linalg.solve_banded`` does, with its
     checks: ValueError on non-finite input or an illegal argument,
     LinAlgError on a singular matrix; a 1 x 1 gtsv system is divided.  The
-    routine is looked up on first use: importing fvreact imports no scipy.
+    routine comes from scipy's LAPACK extension, loaded on first use
+    without the scipy.linalg package (see ``_flapack``): importing fvreact
+    imports no scipy, and a step loads scipy's top level and that
+    extension only.
     """
     for a in args:
         if isinstance(a, np.ndarray) and not np.isfinite(a).all():
@@ -88,7 +124,7 @@ def damped_newton(z0: np.ndarray,
             delta = solve_fn(z, r)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             break
         for lam in _DAMPED_STEPS:
             z_try = z - lam * delta
@@ -113,4 +149,4 @@ def damped_newton(z0: np.ndarray,
 
 def _at_floor(delta: np.ndarray, z: np.ndarray) -> bool:
     """Whether the correction ``delta`` at ``z`` is at working precision."""
-    return float(np.max(np.abs(delta) / np.maximum(1.0, np.abs(z)))) <= FLOOR
+    return float((np.abs(delta) / np.maximum(1.0, np.abs(z))).max()) <= FLOOR

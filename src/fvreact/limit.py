@@ -37,9 +37,9 @@ from ._newton import damped_newton, lapack_solve
 from .errors import ConsistencyError
 from .kinetics import Kinetics
 from .mesh import Mesh, TimeGrid
-from .scheme import (SolverConfig, StepStats, Trajectory, _CellState,
-                     _check_step, _march, _scaled_norm, _step_failure,
-                     _write_cell_csv, project_initial)
+from .scheme import (_DEFAULT_CFG, SolverConfig, StepStats, Trajectory,
+                     _CellState, _check_step, _march, _scaled_norm,
+                     _step_failure, _write_cell_csv, project_initial)
 
 __all__ = [
     "WState",
@@ -89,7 +89,7 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
     maximum principle.
     """
     if cfg is None:
-        cfg = SolverConfig()
+        cfg = _DEFAULT_CFG
     _check_step(mesh, dt, prev)
     m = mesh.volumes
     values, slopes = kin.maps_in_z()
@@ -106,8 +106,8 @@ def step_w(mesh: Mesh, kin: Kinetics, dt: float, prev: WState,
         raise _step_failure("limit", prev, dt, kin, result)
 
     w_new = values(result.z)[0]
-    lo, hi = float(np.min(prev.w)), float(np.max(prev.w))
-    lo_new, hi_new = float(np.min(w_new)), float(np.max(w_new))
+    lo, hi = float(prev.w.min()), float(prev.w.max())
+    lo_new, hi_new = float(w_new.min()), float(w_new.max())
     slack = 10.0 * cfg.newton_tol * max(1.0, -lo, hi)
     if lo_new < lo - slack or hi_new > hi + slack:
         raise ConsistencyError(

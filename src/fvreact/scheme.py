@@ -101,6 +101,10 @@ class SolverConfig:
             raise ValueError("newton_max_iter must be an integer >= 1")
 
 
+# the configuration of a step called without one, validated once
+_DEFAULT_CFG = SolverConfig()
+
+
 @dataclass(frozen=True)
 class StepStats:
     level: int              # index of the level this step produced
@@ -275,8 +279,8 @@ def _scaled_norm(weights: np.ndarray):
     residual both Newton kernels test against newton_tol."""
 
     def norm_fn(z, r):
-        return float(np.max(np.abs(r)
-                            / (weights * np.maximum(1.0, np.abs(z)))))
+        return float((np.abs(r)
+                      / (weights * np.maximum(1.0, np.abs(z)))).max())
 
     return norm_fn
 
@@ -293,7 +297,7 @@ def step(mesh: Mesh, kin: Kinetics, dt: float, prev: State,
     breaks the scheme's bounds.
     """
     if cfg is None:
-        cfg = SolverConfig()
+        cfg = _DEFAULT_CFG
     _check_step(mesh, dt, prev)
     n = mesh.n_cells
     m2 = np.concatenate([mesh.volumes, mesh.volumes])
@@ -331,17 +335,17 @@ def _check_step_bounds(kin, prev, u_new, v_new, newton_tol):
     """A converged step must stay inside the scheme's proven envelope:
     nonnegative, u below max(u_prev) + (alpha/beta) max(v_prev) and v below
     the symmetric bound, all within 10 * newton_tol slack."""
-    max_u, max_v = float(np.max(prev.u)), float(np.max(prev.v))
+    max_u, max_v = float(prev.u.max()), float(prev.v.max())
     cap_u = max_u + (kin.alpha / kin.beta) * max_v
     cap_v = max_v + (kin.beta / kin.alpha) * max_u
     slack_u = 10.0 * newton_tol * max(1.0, cap_u)
     slack_v = 10.0 * newton_tol * max(1.0, cap_v)
-    lo_u, lo_v = float(np.min(u_new)), float(np.min(v_new))
+    lo_u, lo_v = float(u_new.min()), float(v_new.min())
     if lo_u < -slack_u or lo_v < -slack_v:
         raise ConsistencyError(
             f"converged step produced negative concentrations "
             f"(min u = {lo_u!r}, min v = {lo_v!r})")
-    hi_u, hi_v = float(np.max(u_new)), float(np.max(v_new))
+    hi_u, hi_v = float(u_new.max()), float(v_new.max())
     if hi_u > cap_u + slack_u or hi_v > cap_v + slack_v:
         raise ConsistencyError(
             f"converged step escaped its comparison envelope "

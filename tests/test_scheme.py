@@ -437,35 +437,33 @@ def test_import_does_not_load_scipy():
 
 
 def test_steps_do_not_load_scipy_sparse():
-    # both steps reach scipy only for LAPACK's banded solvers; the
+    # both steps reach scipy only for LAPACK's banded solvers, loaded from
+    # scipy's LAPACK extension without the scipy.linalg package; the
     # diffusion operator is Mesh.apply_laplacian, not a sparse matrix.
-    # Older scipy releases load scipy.sparse from scipy.linalg itself, so
-    # the steps may load no scipy.sparse module beyond what a bare
-    # `import scipy.linalg` does.
+    # This also checks that the extension's file lies where the loader
+    # looks on every scipy release tested.
     import fvreact
 
     env = {**os.environ,
            "PYTHONPATH": str(Path(fvreact.__file__).resolve().parents[1])}
-
-    def scipy_modules_after(code):
-        code += ("\nimport json, sys\n"
-                 "print(json.dumps([m for m in sys.modules"
-                 " if m.startswith('scipy.')]))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True)
-        return set(json.loads(out.stdout))
-
-    loaded = scipy_modules_after(
+    code = (
         "from fvreact import (State, WState, build_uniform_1d,\n"
         "                     dimerisation_kinetics, limit, scheme)\n"
         "mesh = build_uniform_1d(0.1, 8)\n"
         "kin = dimerisation_kinetics(1.072e-4, 2.363e-6, 1.579e-9, 1.042e-9)\n"
         "u = [0.1 * (i % 3) for i in range(8)]\n"
         "scheme.step(mesh, kin, 1e3, State(u=u, v=u, level=0, time=0.0))\n"
-        "limit.step_w(mesh, kin, 1e3, WState(w=u, level=0, time=0.0))")
-    baseline = scipy_modules_after("import scipy.linalg")
-    assert any(m.startswith("scipy.linalg") for m in loaded)
-    assert not [m for m in loaded - baseline if m.startswith("scipy.sparse")]
+        "limit.step_w(mesh, kin, 1e3, WState(w=u, level=0, time=0.0))\n"
+        "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules"
+        " if m.startswith('scipy.')]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    loaded = set(json.loads(out.stdout))
+    assert "scipy.linalg" not in loaded
+    assert {m for m in loaded if m.startswith("scipy.linalg.")} \
+        == {"scipy.linalg._flapack"}
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 def test_step_reports_nonconvergence():
