@@ -6,6 +6,7 @@
     fvreact plot-data out/trajectory.csv -o out/plots/
     fvreact validate-config -c config.json
 
+A sweep runs its rate factors one after another, each in out/k_<value>/.
 Exit codes: 0 success, 2 bad config or arguments, 3 solver failure,
 4 output I/O failure.
 """
@@ -46,13 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mesh-summary", action="store_true",
                        help="also write mesh.csv")
 
-    p_sweep = sub.add_parser("sweep", help="run a sweep over rate factors")
+    p_sweep = sub.add_parser("sweep",
+                             help="run each rate factor of a sweep in turn")
     _add_config_source(p_sweep)
     p_sweep.add_argument("-o", "--outdir", required=True, metavar="DIR")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel jobs (default 1)")
     p_sweep.add_argument("--mesh-summary", action="store_true",
-                         help="also write mesh.csv per job")
+                         help="also write mesh.csv per rate factor")
 
     p_plot = sub.add_parser("plot-data",
                             help="split a trajectory CSV into per-level "
@@ -102,11 +102,7 @@ def main(argv=None) -> int:
             print(f"outputs in {args.outdir}")
             return EXIT_OK
         if args.command == "sweep":
-            if args.jobs < 1:
-                print("error: --jobs must be at least 1", file=sys.stderr)
-                return EXIT_CONFIG
-            experiment.sweep(cfg, args.outdir, jobs=args.jobs,
-                             write_mesh=args.mesh_summary)
+            experiment.sweep(cfg, args.outdir, write_mesh=args.mesh_summary)
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command!r}")
     except ConfigError as exc:

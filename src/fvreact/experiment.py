@@ -4,8 +4,8 @@ A JSON config fully describes one experiment: mesh, time grid, kinetics,
 initial data, solver knobs, diagnostics options and an optional sweep over
 the rate factor.  ``run`` executes the coupled problem next to its
 fast-reaction limit companion, writes CSVs plus a manifest, and returns the
-diagnostics report; ``sweep`` repeats that over the rate factors as
-independent jobs and tabulates the distances to the limit.
+diagnostics report; ``sweep`` repeats that for each rate factor in turn,
+each in its own directory, and tabulates the distances to the limit.
 
 All numeric output is written via ``repr`` so reruns of the same build are
 byte-identical (the manifest, which carries wall-clock timings, is the one
@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -113,7 +112,7 @@ def preset_config(name: str) -> dict:
         return base
     if name == "dimerisation-sweep":
         base["time"]["final_time"] = 1e11
-        base["diagnostics"]["entropy"] = False  # per-job speed; runs are many
+        base["diagnostics"]["entropy"] = False  # per-run speed; runs are many
         base["sweep"] = [10.0 ** e for e in range(-7, 1)]
         return base
     raise ConfigError(
@@ -301,7 +300,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Check each field against the schema, then the bounds that join
-        fields: each time grid's steps, the run's work and the translates."""
+        fields: each time grid's steps, the run's work and the translates;
+        and that no two sweep factors share an output directory."""
         spec = _walk(raw, _SCHEMA, "")
         mesh, time = spec["mesh"], spec["time"]
         steps = time.get("n_steps", 0)
@@ -331,6 +331,14 @@ class ExperimentConfig:
                 "diagnostics.translate_lags exceed time.final_time")
         if spec["output"]["levels"] != "all":
             spec["output"]["levels"] = sorted(set(spec["output"]["levels"]))
+        seen: dict[str, float] = {}
+        for k in spec.get("sweep") or []:
+            name = _sweep_dir(k)
+            if name in seen:
+                raise ConfigError(
+                    f"sweep factors {seen[name]!r} and {k!r} share the "
+                    f"output directory {name}")
+            seen[name] = k
         return cls(spec)
 
     def to_dict(self) -> dict:
@@ -510,17 +518,23 @@ def _write_manifest(cfg, outdir: Path, files: list[Path], timings: dict,
     return path
 
 
+def _sweep_dir(k: float) -> str:
+    """The directory, under a sweep's output directory, of rate factor k."""
+    return f"k_{k:.3e}"
+
+
 def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
           write_mesh: bool = False, echo=print) -> list[dict]:
-    """Run each rate factor of cfg.sweep_values as an independent job in
-    ``outdir/k_<value>/`` and tabulate the results in sweep_summary.csv.
+    """Run each rate factor of cfg.sweep_values in turn, in increasing
+    order, in ``outdir/k_<value>/`` (``_sweep_dir``), and tabulate the
+    results in sweep_summary.csv.
 
-    Jobs share nothing; with jobs > 1 they run in a thread pool.
+    ``jobs`` must be 1: it remains only for callers that still pass it.
     """
     if cfg.sweep_values is None:
         raise ConfigError("config defines no sweep list")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -529,8 +543,8 @@ def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
     def job(k: float) -> dict:
         sub = ExperimentConfig({**base, "kinetics": {**base["kinetics"],
                                                      "k": k}})
-        subdir = outdir / f"k_{k:.3e}"
-        report = run(sub, subdir, write_mesh=write_mesh, echo=None)
+        report = run(sub, outdir / _sweep_dir(k), write_mesh=write_mesh,
+                     echo=None)
         rec = {"k": k,
                "E_u": report.gradient_energy_u,
                "E_v": report.gradient_energy_v,
@@ -539,12 +553,7 @@ def sweep(cfg: ExperimentConfig, outdir, jobs: int = 1,
         rec.pop("final_time", None)
         return rec
 
-    ks = sorted(cfg.sweep_values)
-    if jobs == 1:
-        records = [job(k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(job, ks))
+    records = [job(k) for k in sorted(cfg.sweep_values)]
 
     columns = ("k", "J_u", "J_v", "E_u", "E_v", "R")
     path = outdir / "sweep_summary.csv"

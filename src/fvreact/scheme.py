@@ -164,9 +164,8 @@ def _rate_deriv_ext(law: RateLaw, s: np.ndarray) -> np.ndarray:
 def project_initial(mesh: Mesh, u0, v0, n_quad: int = 1) -> State:
     """Project initial profiles onto cell averages.
 
-    n_quad = 1 samples cell centers (the midpoint rule); higher orders use
-    Gauss-Legendre quadrature on each cell.
-    Sampled values must be nonnegative.
+    Gauss-Legendre quadrature with n_quad points on each cell; n_quad = 1
+    is the midpoint rule.  Sampled values must be nonnegative.
     """
     u = _cell_averages(mesh, u0, n_quad, "u0")
     v = _cell_averages(mesh, v0, n_quad, "v0")
@@ -176,20 +175,15 @@ def project_initial(mesh: Mesh, u0, v0, n_quad: int = 1) -> State:
 def _cell_averages(mesh: Mesh, fn, n_quad: int, name: str) -> np.ndarray:
     if int(n_quad) != n_quad or n_quad < 1:
         raise ValueError(f"n_quad must be a positive integer, got {n_quad}")
-    n_quad = int(n_quad)
-    if n_quad == 1:
-        vals = np.asarray(fn(mesh.x), dtype=float)
-        if vals.shape != (mesh.n_cells,):
-            raise ValueError(f"{name} must return one value per sample point")
-        if np.any(vals < 0):
-            raise ValueError(f"{name} is negative at a cell center")
-        return vals
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(int(n_quad))
     lo = mesh.edges[:-1]
     hi = mesh.edges[1:]
     # points shaped (n_cells, n_quad); weights sum to 2 on [-1, 1]
     pts = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * nodes[None, :]
-    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+    vals = np.asarray(fn(pts.ravel()), dtype=float)
+    if vals.shape != (pts.size,):
+        raise ValueError(f"{name} must return one value per sample point")
+    vals = vals.reshape(pts.shape)
     if np.any(vals < 0):
         raise ValueError(f"{name} is negative at a quadrature point")
     return vals @ (weights / 2.0)

@@ -78,7 +78,7 @@ def sweep_run(tmp_path_factory):
     output directory and records."""
     cfg = ExperimentConfig.from_dict(preset_config("dimerisation-sweep"))
     outdir = tmp_path_factory.mktemp("sweep")
-    return outdir, sweep(cfg, outdir, jobs=1, echo=None)
+    return outdir, sweep(cfg, outdir, echo=None)
 
 
 @pytest.fixture(scope="module")

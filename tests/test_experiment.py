@@ -83,6 +83,8 @@ def test_tabulated_initial_interpolates():
     (lambda r: r.__setitem__("initial", {}), "initial"),
     (lambda r: r.__setitem__("sweep", []), "sweep"),
     (lambda r: r.__setitem__("sweep", [1.0, -2.0]), "sweep"),
+    # both factors would write to k_1.000e+00
+    (lambda r: r.__setitem__("sweep", [1.0, 1.00001]), "sweep"),
     (lambda r: r.__setitem__("quadrature_points", 0), "quadrature"),
     pytest.param(lambda r: r.__setitem__("quadrature_points", 101),
                  "quadrature", id="quadrature-bound"),
@@ -249,9 +251,11 @@ def test_run_respects_output_level_subset(tmp_path):
     assert written(tmp_path / "late", "trajectory_w.csv") == [0, n_w]
 
 
-def test_sweep_runs_jobs_and_tabulates(tmp_path):
+def test_sweep_tabulates(tmp_path):
     cfg = ExperimentConfig.from_dict(tiny_config(sweep=[1e-3, 1.0]))
-    records = sweep(cfg, tmp_path / "s", jobs=2, echo=None)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(cfg, tmp_path / "s", jobs=2, echo=None)
+    records = sweep(cfg, tmp_path / "s", echo=None)
     assert [r["k"] for r in records] == [1e-3, 1.0]
     sub = {p.name for p in (tmp_path / "s").iterdir()}
     assert "sweep_summary.csv" in sub
@@ -478,10 +482,13 @@ def test_cli_sweep(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "s"
-    proc = run_cli("sweep", "-c", str(cfg_path), "-o", str(out), "--jobs", "2")
+    proc = run_cli("sweep", "-c", str(cfg_path), "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep_summary.csv").exists()
     assert "swept 2 rate factors" in proc.stdout
+    # the factors run serially: there is no --jobs option
+    proc = run_cli("sweep", "-c", str(cfg_path), "-o", str(out), "--jobs", "2")
+    assert proc.returncode == 2
 
 
 # -- the CLI contract under config mutations ---------------------------------

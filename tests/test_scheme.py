@@ -64,8 +64,12 @@ def test_project_quadrature_refines_curved_profile():
 
 def test_project_rejects_negative_data():
     mesh = build_uniform_1d(1.0, 4)
-    with pytest.raises(ValueError):
-        project_initial(mesh, lambda x: x - 0.5, lambda x: 0 * x)
+    for n_quad in (1, 3):
+        with pytest.raises(ValueError, match="negative"):
+            project_initial(mesh, lambda x: x - 0.5, lambda x: 0 * x, n_quad)
+        # a scalar-valued profile is not one value per point
+        with pytest.raises(ValueError, match="one value per sample point"):
+            project_initial(mesh, lambda x: 0.5, lambda x: 0 * x, n_quad)
 
 
 # -- residual oracles ---------------------------------------------------------
@@ -424,13 +428,15 @@ def test_newton_returns_at_convergence(monkeypatch):
 
 def test_import_does_not_load_scipy():
     # the LAPACK routines and the Laplacian are looked up on first use, so
-    # importing the package stays cheap
+    # importing the package stays cheap; a sweep runs its factors serially,
+    # so nothing loads concurrent.futures either
     import fvreact
 
     env = {**os.environ,
            "PYTHONPATH": str(Path(fvreact.__file__).resolve().parents[1])}
     code = ("import sys, fvreact; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
