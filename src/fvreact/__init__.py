@@ -9,10 +9,8 @@ from .diagnostics import (DiagnosticsReport, compare_to_limit, conserved_mass,
 from .errors import ConfigError, ConsistencyError, NonConvergenceError
 from .experiment import (ExperimentConfig, emit_plot_data, load_config,
                          preset_config, preset_names, run, sweep)
-from .kinetics import (DimerisationKinetics, Kinetics, RateLaw,
-                       closed_form_discrepancy, dimerisation_g_closed_form,
-                       dimerisation_kinetics, dimerisation_u_closed_form,
-                       invert_monotone, kinetics_from_dict, power_law_kinetics)
+from .kinetics import (Kinetics, RateLaw, dimerisation_kinetics,
+                       kinetics_from_dict, power_law_kinetics)
 from .limit import WState, integrate_w, project_initial_w, step_w, write_w_csv
 from .mesh import (Mesh, TimeGrid, build_time_grid_ramped,
                    build_time_grid_uniform, build_uniform_1d,
@@ -27,10 +25,8 @@ __all__ = [
     "ConfigError", "ConsistencyError", "NonConvergenceError",
     "Mesh", "TimeGrid", "build_uniform_1d", "build_time_grid_uniform",
     "build_time_grid_ramped", "write_mesh_csv",
-    "RateLaw", "Kinetics", "DimerisationKinetics", "dimerisation_kinetics",
-    "power_law_kinetics", "kinetics_from_dict", "invert_monotone",
-    "dimerisation_u_closed_form", "dimerisation_g_closed_form",
-    "closed_form_discrepancy",
+    "RateLaw", "Kinetics", "dimerisation_kinetics", "power_law_kinetics",
+    "kinetics_from_dict",
     "State", "StepStats", "SolverConfig", "Trajectory", "project_initial",
     "residual", "step", "integrate", "ode_upper_solution",
     "write_trajectory_csv", "write_stats_csv",

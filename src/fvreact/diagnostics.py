@@ -18,6 +18,7 @@ from .mesh import Mesh, TimeGrid
 from .scheme import State, Trajectory
 
 __all__ = [
+    "conserved_mass",
     "l1_distance",
     "gradient_energy",
     "reaction_defect",
@@ -193,9 +194,12 @@ def lyapunov_series(mesh: Mesh, kin: Kinetics, traj: Trajectory,
 def compare_to_limit(kin: Kinetics, traj: Trajectory,
                      wtraj: Trajectory) -> dict:
     """Max-norm distance between the coupled final state and the equilibrium
-    state reconstructed from the limit solver's final conserved variable:
+    state of the limit solver's final level:
 
-        J_u = max_K |u_K - u_from_w(w_K)|,  J_v = max_K |v_K - v_from_w(w_K)|.
+        J_u = max_K |u_K - u_from_w(w_K)|,  J_v = max_K |v_K - v_from_w(w_K)|,
+
+    with (u, v) taken from the level's equilibrium unknown z, so only a
+    state built from w alone is inverted.
     """
     fin = traj.final
     wfin = wtraj.final
@@ -204,9 +208,8 @@ def compare_to_limit(kin: Kinetics, traj: Trajectory,
     if abs(fin.time - wfin.time) > 1e-9 * max(1.0, abs(fin.time)):
         raise ValueError(
             f"final times differ: {fin.time!r} vs {wfin.time!r}")
-    w = np.maximum(wfin.w, 0.0)
-    u_lim = np.asarray(kin.u_from_w(w), dtype=float)
-    v_lim = np.asarray(kin.v_from_u(u_lim), dtype=float)
+    z = kin.z_from_w(np.maximum(wfin.w, 0.0)) if wfin.z is None else wfin.z
+    u_lim, v_lim = kin.uv_from_z(np.maximum(z, 0.0))
     return {
         "final_time": float(fin.time),
         "J_u": float(np.max(np.abs(fin.u - u_lim))),

@@ -2,18 +2,19 @@
 
 A two-species system (u, v) exchanges mass through the rate gap
 r_u(u) - r_v(v), weighted by stoichiometric coefficients alpha and beta.
-Where the gap closes, v is a function of u (``v_from_u``), the conserved
+Where the gap closes, v is a function of u (``v_from_u``) and the conserved
 combination w = u/alpha + v/beta is an increasing function of u
-(``w_from_u``), and the whole equilibrium state is recoverable from w alone
-(``u_from_w``, ``v_from_w``).  The effective nonlinear diffusion flux of the
+(``w_from_u``).  The effective nonlinear diffusion flux of the
 fast-reaction regime is packaged as ``flux_potential``.
 
 Every rate law is a power law c s^p with c > 0 and p >= 1 (``RateLaw``),
 so r_v has a closed-form inverse, ``v_from_u`` is one expression, and w and
 the flux potential are explicit in the equilibrium value z of one species
-(``maps_in_z``), the limit solver's unknown.  The inversion ``u_from_w``
-uses safeguarded Newton iteration with a bisection fallback on a
-guaranteed bracket, so it does not depend on starting guesses.
+(``maps_in_z``), the limit solver's unknown: u when p >= q, v when p < q.
+The one inversion, ``z_from_w``, is Newton on the convex map W(z) from a
+start above the root, so it decreases monotonically to z and is accurate
+relative to w at every scale of w from 1e-300 up.  ``uv_from_z`` gives the
+equilibrium pair, and ``u_from_w``/``v_from_w`` compose the two.
 """
 
 from __future__ import annotations
@@ -21,27 +22,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .errors import NonConvergenceError
 
 __all__ = [
     "RateLaw",
     "Kinetics",
-    "DimerisationKinetics",
     "dimerisation_kinetics",
     "power_law_kinetics",
     "kinetics_from_dict",
-    "invert_monotone",
-    "dimerisation_u_closed_form",
-    "dimerisation_g_closed_form",
-    "closed_form_discrepancy",
-    "TOL_INV",
 ]
-
-TOL_INV = 1e-12  # mixed absolute/relative tolerance for scalar inversions
 
 
 @dataclass(frozen=True)
@@ -91,58 +81,6 @@ class RateLaw:
         if p == 2.0:
             return np.sqrt(y / c)
         return np.power(y / c, 1.0 / p)
-
-
-def invert_monotone(f: Callable, df: Callable, y, lo, hi,
-                    tol: float = TOL_INV, max_iter: int = 100) -> np.ndarray:
-    """Solve f(x) = y for strictly increasing f with f(lo) <= y <= f(hi).
-
-    Vectorized safeguarded Newton: a candidate that leaves the current
-    bracket (or hits a flat/non-finite derivative) falls back to bisection,
-    so convergence never depends on a good starting point.  Stops when
-    |f(x) - y| <= tol * (1 + |y|) componentwise; a bracket ground down to
-    floating-point resolution is accepted as the best representable root.
-    """
-    y = np.asarray(y, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape).copy()
-    if np.any(hi < lo):
-        raise ValueError("inversion bracket is empty")
-    x = 0.5 * (lo + hi)
-    target = tol * (1.0 + np.abs(y))
-    if y.size:
-        flo = np.asarray(f(lo), dtype=float)
-        fhi = np.asarray(f(hi), dtype=float)
-        outside = (y < flo - target) | (y > fhi + target)
-        if outside.any():
-            gap = np.maximum(flo - y, y - fhi)
-            raise NonConvergenceError(
-                "target lies outside the inversion bracket",
-                residual=float(gap.max()))
-    eps = np.finfo(float).eps
-    converged = y.size == 0
-    for _ in range(max_iter):
-        fx = np.asarray(f(x), dtype=float) - y
-        under = fx < 0
-        lo = np.where(under, x, lo)
-        hi = np.where(under, hi, x)
-        active = np.abs(fx) > target
-        if not active.any():
-            converged = True
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cand = x - fx / np.asarray(df(x), dtype=float)
-        mid = 0.5 * (lo + hi)
-        reject = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        x = np.where(active, np.where(reject, mid, cand), x)
-    if not converged:
-        fx = np.abs(np.asarray(f(x), dtype=float) - y)
-        stuck = (fx > target) & (hi - lo > 16 * eps * (1.0 + np.abs(x)))
-        if stuck.any():
-            raise NonConvergenceError(
-                "monotone inversion did not converge",
-                iterations=max_iter, residual=float(fx.max()))
-    return x
 
 
 @dataclass(eq=False)
@@ -204,32 +142,17 @@ class Kinetics:
         out = u_arr / self.alpha + self.v_from_u(u_arr) / self.beta
         return out.item() if scalar else out
 
-    def u_from_w(self, w, tol: float = TOL_INV):
-        """Invert w_from_u on w >= 0 by safeguarded Newton/bisection.
-
-        The bracket [0, alpha * w] is valid a priori because
-        w_from_u(alpha * w) >= w.
-        """
-        w_arr, scalar = _as_array(w)
-        if np.any(w_arr < 0):
-            raise ValueError("u_from_w requires w >= 0")
-        if w_arr.size == 0:
-            return w_arr.copy()
-        hi = self.alpha * w_arr * (1.0 + 1e-12)
-
-        def slope(s):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ep = self.rate_u.deriv(s) / self.rate_v.deriv(self.v_from_u(s))
-            return 1.0 / self.alpha + ep / self.beta
-
-        out = invert_monotone(self.w_from_u, slope, w_arr, 0.0, hi, tol=tol)
-        return out.item() if scalar else out
-
-    def v_from_w(self, w, tol: float = TOL_INV):
-        """Equilibrium v recovered from the conserved variable."""
-        w_arr, scalar = _as_array(w)
-        out = self.v_from_u(self.u_from_w(w_arr, tol=tol))
-        return out.item() if scalar else out
+    def _z_frame(self):
+        """The frame of the equilibrium unknown z: the other species as the
+        rate law c z^e of z, the weights wz, wo of z and of it in w, the
+        weights fz, fo in the flux potential, and whether z is u (p >= q)."""
+        p, q = self.rate_u.exponent, self.rate_v.exponent
+        ca, cb = self.rate_u.coeff, self.rate_v.coeff
+        au, av = 1.0 / self.alpha, 1.0 / self.beta
+        du, dv = self.diff_u * au, self.diff_v * av
+        if p >= q:
+            return RateLaw((ca / cb) ** (1.0 / q), p / q), au, av, du, dv, True
+        return RateLaw((cb / ca) ** (1.0 / p), q / p), av, au, dv, du, False
 
     def maps_in_z(self):
         """w and the flux potential of the equilibrium state, W(z) and
@@ -238,16 +161,7 @@ class Kinetics:
         so W, Phi and their slopes are closed forms, finite at z = 0.
         Returns ``values(z) -> (W, Phi)`` and ``slopes(z) -> (W', Phi')``,
         odd-extended (W(-z) = -W(z)) so a line search may cross 0."""
-        p, q = self.rate_u.exponent, self.rate_v.exponent
-        ca, cb = self.rate_u.coeff, self.rate_v.coeff
-        au, av = 1.0 / self.alpha, 1.0 / self.beta
-        du, dv = self.diff_u * au, self.diff_v * av
-        if p >= q:
-            other = RateLaw((ca / cb) ** (1.0 / q), p / q)
-            wz, wo, fz, fo = au, av, du, dv
-        else:
-            other = RateLaw((cb / ca) ** (1.0 / p), q / p)
-            wz, wo, fz, fo = av, au, dv, du
+        other, wz, wo, fz, fo, _ = self._z_frame()
 
         def values(z):
             o = np.sign(z) * other.value(np.abs(z))
@@ -260,10 +174,40 @@ class Kinetics:
         return values, slopes
 
     def z_from_w(self, w):
-        """z of ``maps_in_z`` at w >= 0, from one ``u_from_w`` inversion."""
-        u = self.u_from_w(w)
-        return u if self.rate_u.exponent >= self.rate_v.exponent \
-            else self.v_from_u(u)
+        """z of ``maps_in_z`` at w >= 0, accurate relative to w at every
+        scale of w from 1e-300 up.
+
+        W(z) = wz z + wo c z^e is convex and increasing from W(0) = 0, and
+        both w/wz and the root of the second term alone lie above the root.
+        So Newton from the smaller of the two decreases monotonically to
+        it; the iteration stops when no entry decreases any more.
+        """
+        w_arr, scalar = _as_array(w)
+        if np.any(w_arr < 0):
+            raise ValueError("z_from_w requires w >= 0")
+        other, wz, wo = self._z_frame()[:3]
+        z = np.minimum(w_arr / wz, other.inverse(w_arr / wo))
+        while True:
+            gap = wz * z + wo * other.value(z) - w_arr
+            new = np.maximum(z - gap / (wz + wo * other.deriv(z)), 0.0)
+            if not (new < z).any():
+                break
+            z = np.minimum(new, z)
+        return z.item() if scalar else z
+
+    def uv_from_z(self, z):
+        """The equilibrium pair (u, v) with z of ``maps_in_z``."""
+        other, *_, z_is_u = self._z_frame()
+        o = other.value(z)
+        return (z, o) if z_is_u else (o, z)
+
+    def u_from_w(self, w):
+        """Equilibrium u recovered from the conserved variable w >= 0."""
+        return self.uv_from_z(self.z_from_w(w))[0]
+
+    def v_from_w(self, w):
+        """Equilibrium v recovered from the conserved variable w >= 0."""
+        return self.uv_from_z(self.z_from_w(w))[1]
 
     def flux_potential(self, w):
         """Nonlinear diffusion flux potential of the fast-reaction regime:
@@ -281,19 +225,6 @@ class Kinetics:
         return out.item() if scalar else out
 
 
-@dataclass(eq=False)
-class DimerisationKinetics(Kinetics):
-    """Reversible dimerisation 2A <-> B: r_u(s) = kf s^2, r_v(s) = kb s."""
-
-    @property
-    def k_forward(self) -> float:
-        return self.rate_u.coeff
-
-    @property
-    def k_backward(self) -> float:
-        return self.rate_v.coeff
-
-
 def _as_array(s) -> tuple[np.ndarray, bool]:
     arr = np.asarray(s, dtype=float)
     if arr.ndim == 0:
@@ -303,13 +234,13 @@ def _as_array(s) -> tuple[np.ndarray, bool]:
 
 def dimerisation_kinetics(k_forward: float, k_backward: float,
                           diff_u: float, diff_v: float,
-                          rate_factor: float = 1.0) -> DimerisationKinetics:
+                          rate_factor: float = 1.0) -> Kinetics:
     """Kinetics of a reversible dimerisation 2A <-> B.
 
     Forward rate k_forward * u^2, backward rate k_backward * v.  Two
     monomers disappear per dimer formed, so alpha = 2 and beta = 1.
     """
-    return DimerisationKinetics(
+    return Kinetics(
         alpha=2.0, beta=1.0, diff_u=diff_u, diff_v=diff_v,
         rate_u=RateLaw(float(k_forward), 2.0),
         rate_v=RateLaw(float(k_backward), 1.0), rate_factor=rate_factor)
@@ -370,62 +301,3 @@ def kinetics_from_dict(spec: dict) -> Kinetics:
         coeff_v=vals["c_b"], exp_v=vals["q"],
         alpha=vals["alpha"], beta=vals["beta"],
         diff_u=vals["a"], diff_v=vals["b"], rate_factor=vals["k"])
-
-
-# -- closed-form cross-check channel (dimerisation only) ---------------
-#
-# The two functions below evaluate fixed algebraic formulas for the
-# dimerisation w -> u and u -> flux maps.  They are deliberately separate
-# from u_from_w / flux_potential: no solver consumes them, and
-# closed_form_discrepancy *reports* how far they sit from the root-finding
-# maps instead of asserting agreement.
-
-
-def dimerisation_u_closed_form(kin: DimerisationKinetics, y):
-    """Evaluate h(y) = ( ((alpha kf)/(beta kb))^2 + 4 kb y / (beta kf) )^(1/2) / 2
-    - (alpha kb)/(2 beta kf) for the dimerisation constants of ``kin``."""
-    if not isinstance(kin, DimerisationKinetics):
-        raise ValueError("closed forms are defined for dimerisation kinetics only")
-    y_arr, scalar = _as_array(y)
-    ratio = (kin.alpha * kin.k_forward) / (kin.beta * kin.k_backward)
-    disc = ratio ** 2 + y_arr * (4.0 * kin.k_backward / (kin.beta * kin.k_forward))
-    if np.any(disc < 0):
-        raise ValueError("negative discriminant: y outside the formula's domain")
-    out = 0.5 * (np.sqrt(disc)
-                 - kin.alpha * kin.k_backward / (kin.beta * kin.k_forward))
-    return out.item() if scalar else out
-
-
-def dimerisation_g_closed_form(kin: DimerisationKinetics, h):
-    """Companion flux-form expression
-    g(h) = h diff_u / alpha + h^2 diff_v kf / (beta kb)."""
-    if not isinstance(kin, DimerisationKinetics):
-        raise ValueError("closed forms are defined for dimerisation kinetics only")
-    h_arr, scalar = _as_array(h)
-    out = (h_arr * kin.diff_u / kin.alpha
-           + h_arr ** 2 * kin.diff_v * kin.k_forward
-           / (kin.beta * kin.k_backward))
-    return out.item() if scalar else out
-
-
-def closed_form_discrepancy(kin: DimerisationKinetics, w_values) -> dict:
-    """Measure the gap between the closed-form channel and the root-finding
-    maps on a sample of conserved-variable values.
-
-    Returns a report dict; nothing is asserted about the size of the gaps.
-    Keys: n_samples, w_min, w_max, max_abs_u_gap, max_abs_v_gap.
-    """
-    w = np.atleast_1d(np.asarray(w_values, dtype=float))
-    if w.size == 0 or np.any(w < 0):
-        raise ValueError("w samples must be nonempty and nonnegative")
-    h = np.asarray(dimerisation_u_closed_form(kin, w), dtype=float)
-    g = np.asarray(dimerisation_g_closed_form(kin, h), dtype=float)
-    u = np.asarray(kin.u_from_w(w), dtype=float)
-    v = np.asarray(kin.v_from_w(w), dtype=float)
-    return {
-        "n_samples": int(w.size),
-        "w_min": float(w.min()),
-        "w_max": float(w.max()),
-        "max_abs_u_gap": float(np.max(np.abs(h - u))),
-        "max_abs_v_gap": float(np.max(np.abs(g - v))),
-    }

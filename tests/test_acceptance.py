@@ -15,7 +15,7 @@ import pytest
 from fvreact._newton import _at_floor
 from fvreact.diagnostics import l1_distance, lyapunov_series
 from fvreact.experiment import ExperimentConfig, preset_config, sweep
-from fvreact.kinetics import (closed_form_discrepancy, dimerisation_kinetics)
+from fvreact.kinetics import dimerisation_kinetics
 from fvreact.limit import integrate_w, project_initial_w
 from fvreact.mesh import build_time_grid_uniform, build_uniform_1d
 from fvreact.scheme import (SolverConfig, State, _scaled_norm, integrate,
@@ -188,8 +188,8 @@ def _rate_energy(mesh, kin, state):
     """F = sum_K m_K (Phi_u(u_K)/alpha + Phi_v(v_K)/beta), where Phi_u(s) =
     k1 s^3/3 and Phi_v(s) = k2 s^2/2 are the antiderivatives of the
     dimerisation rate laws."""
-    phi_u = kin.k_forward * state.u ** 3 / 3.0
-    phi_v = kin.k_backward * state.v ** 2 / 2.0
+    phi_u = kin.rate_u.coeff * state.u ** 3 / 3.0
+    phi_v = kin.rate_v.coeff * state.v ** 2 / 2.0
     return float(np.sum(mesh.volumes * (phi_u / kin.alpha + phi_v / kin.beta)))
 
 
@@ -355,18 +355,16 @@ def test_08_scheme_orders_pure_diffusion():
 
 def test_09_kinetics_oracles():
     """Criterion 9: inversion round trip, chemical-equilibrium identity and
-    the quadratic-formula oracle all agree to 1e-10; the closed-form
-    discrepancy report is generated and its numbers recorded as measured.
+    the quadratic-formula oracle all agree to 1e-10.
 
     Concentrations span [1e-3, 10], two decades around the demo's physical
-    range; the inversion runs at a tight tolerance so the check measures
-    oracle agreement rather than the iteration's stopping error."""
+    range."""
     kin = dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V)
     u = np.geomspace(1e-3, 10.0, 50)
     w = kin.w_from_u(u)
 
-    u_rec = kin.u_from_w(w, tol=1e-15)
-    v_rec = kin.v_from_w(w, tol=1e-15)
+    u_rec = kin.u_from_w(w)
+    v_rec = kin.v_from_w(w)
     round_trip = float(np.max(np.abs(u_rec - u) / u))
     assert round_trip < 1e-10, f"FAIL: round trip error {round_trip:.3e}"
     gap = np.abs(kin.rate_u.value(u_rec) - kin.rate_v.value(v_rec))
@@ -377,13 +375,5 @@ def test_09_kinetics_oracles():
     u_quad = (-0.5 + np.sqrt(0.25 + 4.0 * q * w)) / (2.0 * q)
     quad = float(np.max(np.abs(u_quad - u_rec) / u_rec))
     assert quad < 1e-10, f"FAIL: quadratic-formula oracle off by {quad:.3e}"
-
-    report = closed_form_discrepancy(kin, np.linspace(1e-3, 1.0, 33))
-    assert set(report) >= {"n_samples", "w_min", "w_max",
-                           "max_abs_u_gap", "max_abs_v_gap"}
-    assert np.isfinite(report["max_abs_u_gap"])
-    assert np.isfinite(report["max_abs_v_gap"])
     print(f"criterion 9: PASS (round trip {round_trip:.2e}, identity "
-          f"{ident:.2e}, quadratic oracle {quad:.2e}; closed-form "
-          f"gaps u {report['max_abs_u_gap']:.3e}, "
-          f"v {report['max_abs_v_gap']:.3e})")
+          f"{ident:.2e}, quadratic oracle {quad:.2e})")

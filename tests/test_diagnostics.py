@@ -255,6 +255,33 @@ def test_compare_to_limit_manufactured_exact():
     assert set(out) == {"final_time", "J_u", "J_v"}
 
 
+def test_compare_to_limit_reads_z_for_p_below_q():
+    # p < q, so the limit's unknown z is v: J_u and J_v from the stored z
+    # of the final level agree with inverting its w, and a final state
+    # built from w alone is inverted
+    mesh = build_uniform_1d(1.0, 10)
+    kin = power_law_kinetics(2.0, 1.0, 0.5, 2.0, alpha=1.0, beta=2.0,
+                             diff_u=1e-2, diff_v=3e-2, rate_factor=10.0)
+    grid = build_time_grid_uniform(5.0, 10)
+    u0 = lambda x: 0.3 + 0.2 * np.cos(np.pi * x)
+    v0 = lambda x: 0.1 + 0.05 * x
+    traj = integrate(mesh, kin, grid, project_initial(mesh, u0, v0))
+    wtraj = integrate_w(mesh, kin, grid, project_initial_w(mesh, kin, u0, v0))
+    fin = wtraj.final
+    assert fin.z is not None
+    w = np.maximum(fin.w, 0.0)
+    u_lim, v_lim = kin.u_from_w(w), kin.v_from_w(w)
+    ref = {"J_u": float(np.max(np.abs(traj.final.u - u_lim))),
+           "J_v": float(np.max(np.abs(traj.final.v - v_lim)))}
+    out = compare_to_limit(kin, traj, wtraj)
+    scale = max(np.max(traj.final.u), np.max(traj.final.v))
+    for name in ("J_u", "J_v"):
+        assert 0.0 < out[name] and abs(out[name] - ref[name]) <= 1e-12 * scale
+    no_z = WState(w=fin.w, level=fin.level, time=fin.time)
+    out = compare_to_limit(kin, traj, Trajectory(states=[no_z], stats=()))
+    assert {name: out[name] for name in ref} == ref
+
+
 def test_compare_to_limit_detects_time_mismatch():
     mesh = build_uniform_1d(0.1, 3)
     kin = dimer()

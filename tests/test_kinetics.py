@@ -1,14 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fvreact.errors import NonConvergenceError
-from fvreact.kinetics import (TOL_INV, Kinetics, RateLaw,
-                              closed_form_discrepancy,
-                              dimerisation_g_closed_form,
-                              dimerisation_kinetics,
-                              dimerisation_u_closed_form, invert_monotone,
+from fvreact.kinetics import (Kinetics, RateLaw, dimerisation_kinetics,
                               kinetics_from_dict, power_law_kinetics)
 
 K1 = 1.072e-4
@@ -128,26 +124,12 @@ def test_rate_law_plain_products_and_validation():
             RateLaw(coeff, exponent)
 
 
-def test_invert_monotone_cubic():
-    f = lambda x: x ** 3 + x
-    df = lambda x: 3 * x ** 2 + 1
-    y = np.array([0.0, 0.5, 2.0, 10.0])
-    x = invert_monotone(f, df, y, lo=np.zeros(4), hi=np.full(4, 10.0),
-                        tol=1e-14)
-    assert np.allclose(f(x), y, atol=1e-12)
+def _power_law(p, q):
+    return lambda: power_law_kinetics(2.0, p, 0.5, q, alpha=3.0, beta=0.5,
+                                      diff_u=DIFF_U, diff_v=DIFF_V)
 
 
-def test_invert_monotone_needs_bracket():
-    f = lambda x: x
-    df = lambda x: np.ones_like(x)
-    with pytest.raises(NonConvergenceError):
-        invert_monotone(f, df, np.array([5.0]), lo=np.array([0.0]),
-                        hi=np.array([1.0]), tol=1e-12)
-
-
-def _plaw():
-    return power_law_kinetics(2.0, 3.0, 0.5, 1.5, alpha=3.0, beta=0.5,
-                              diff_u=DIFF_U, diff_v=DIFF_V)
+_plaw = _power_law(3.0, 1.5)
 
 
 W_SAMPLES = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 61)])
@@ -156,26 +138,32 @@ BOTH_KINETICS = pytest.mark.parametrize("make", [
     ids=["dimerisation", "power-law"])
 
 
-@BOTH_KINETICS
-def test_u_from_w_matches_plain_inversion(make):
-    # u_from_w is invert_monotone on w_from_u with the chain-rule slope,
-    # over the a-priori bracket [0, alpha w]: the same root to the bit
+@pytest.mark.parametrize("make", [
+    lambda: dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V), _plaw,
+    *(_power_law(p, q) for p, q in ((3, 1), (1, 4), (2, 2), (1, 1), (10, 1),
+                                    (1.5, 1)))],
+    ids=["dimerisation", "power-law", "3,1", "1,4", "2,2", "1,1", "10,1",
+         "1.5,1"])
+def test_z_from_w_relative_accuracy(make):
+    # z_from_w is Newton from above on the convex W(z): W(z(w)) = w to a
+    # few ulps relative to w from w = 1e-300 up to 1e6, for z = u
+    # (p >= q) and z = v (p < q), with no overflow or 0/0 on the way
     kin = make()
-    w = W_SAMPLES
-    hi = kin.alpha * w * (1.0 + 1e-12)
-    def chain_rule_slope(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ep = kin.rate_u.deriv(s) / kin.rate_v.deriv(kin.v_from_u(s))
-        return 1.0 / kin.alpha + ep / kin.beta
-
-    plain = invert_monotone(kin.w_from_u, chain_rule_slope, w, 0.0, hi)
-    assert np.array_equal(kin.u_from_w(w), plain)
+    w = np.concatenate([[0.0], np.geomspace(1e-300, 1e6, 5002)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = kin.z_from_w(w)
+        big = kin.maps_in_z()[0](z)[0]
+    assert z[0] == 0.0 and kin.z_from_w(0.0) == 0.0
+    assert np.all(np.abs(big - w) <= 2e-15 * w)
+    assert np.all(np.diff(z) > 0)
+    with pytest.raises(ValueError, match="w >= 0"):
+        kin.z_from_w(np.array([1.0, -1e-300]))
 
 
 @pytest.mark.parametrize("make", [
     lambda: dimerisation_kinetics(K1, K2, DIFF_U, DIFF_V), _plaw,
-    lambda: power_law_kinetics(2.0, 1.5, 0.5, 4.0, alpha=3.0, beta=0.5,
-                               diff_u=DIFF_U, diff_v=DIFF_V)],
+    _power_law(1.5, 4.0)],
     ids=["dimerisation", "power-law", "power-law-p<q"])
 def test_maps_in_z_are_the_equilibrium_maps(make):
     # at z = z_from_w(w), W(z) gives w back and Phi(z) is the flux potential
@@ -190,7 +178,7 @@ def test_maps_in_z_are_the_equilibrium_maps(make):
     u = kin.u_from_w(w)
     v = kin.v_from_u(u)
     big, phi = values(z)
-    assert np.all(np.abs(big - w) <= 2 * TOL_INV * (1.0 + w))
+    assert np.all(np.abs(big - w) <= 2e-15 * w)
     assert np.allclose(phi, (kin.diff_u / kin.alpha) * u
                        + (kin.diff_v / kin.beta) * v, rtol=1e-10, atol=0.0)
     wp, fp = slopes(z)
@@ -211,19 +199,16 @@ def test_maps_in_z_are_the_equilibrium_maps(make):
 
 @BOTH_KINETICS
 def test_u_from_w_zero_and_tiny_w(make):
-    # the inversion bracket [0, alpha w (1 + 1e-12)] has no absolute offset,
-    # so w = 0 maps to exactly u = 0 and phi = 0, and tiny w stay inside
-    # their own bracket instead of being dominated by an offset
+    # w = 0 maps to exactly u = 0 and phi = 0, and tiny w keep their
+    # relative accuracy: no absolute tolerance swamps them
     kin = make()
     assert kin.u_from_w(0.0) == 0.0
     assert kin.flux_potential(0.0) == 0.0
     w = np.geomspace(1e-300, 1e-285, 16)
     u = kin.u_from_w(w)
-    assert np.all(u > 0) and np.all(u <= kin.alpha * w * (1.0 + 1e-12))
-    assert np.all(np.diff(u) > 0)
-    back = kin.w_from_u(u)
-    assert np.all(np.abs(back - w) <= TOL_INV * (1.0 + w))
-    assert np.all(back <= w * (1.0 + 1e-12))
+    assert np.all(u > 0) and np.all(np.diff(u) > 0)
+    assert np.all(np.abs(kin.w_from_u(u) - w) <= 2e-15 * w)
+    assert np.allclose(kin.v_from_w(w), kin.v_from_u(u), rtol=1e-15, atol=0)
 
 
 def test_power_law_rejects_sublinear_exponent():
@@ -296,31 +281,3 @@ def test_kinetics_rejects_non_finite_parameters(name, bad):
     Kinetics(**good)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         Kinetics(**{**good, name: bad})
-
-
-# the published closed forms are kept verbatim as a cross-check channel;
-# they disagree with the solver maps and the gap is reported, not hidden
-
-def test_closed_form_u_formula_verbatim(dimer):
-    y = 0.2228
-    q1 = dimer.alpha * K1 / (dimer.beta * K2)
-    expect = 0.5 * (np.sqrt(q1 ** 2 + y * 4.0 * K2 / (dimer.beta * K1))
-                    - dimer.alpha * K2 / (dimer.beta * K1))
-    got = dimerisation_u_closed_form(dimer, y)
-    assert float(got) == pytest.approx(expect, rel=1e-12)
-
-
-def test_closed_form_g_at_zero(dimer):
-    assert float(dimerisation_g_closed_form(dimer, 0.0)) == pytest.approx(0.0)
-
-
-def test_closed_form_discrepancy_report(dimer):
-    rep = closed_form_discrepancy(dimer, np.linspace(0.01, 1.0, 9))
-    assert set(rep) == {"n_samples", "w_min", "w_max",
-                        "max_abs_u_gap", "max_abs_v_gap"}
-    assert rep["n_samples"] == 9
-    assert rep["w_min"] == pytest.approx(0.01)
-    assert rep["w_max"] == pytest.approx(1.0)
-    assert np.isfinite(rep["max_abs_u_gap"])
-    assert np.isfinite(rep["max_abs_v_gap"])
-    assert rep["max_abs_u_gap"] >= 0.0

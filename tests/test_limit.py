@@ -177,10 +177,10 @@ def test_step_w_inverts_only_a_state_without_z(monkeypatch):
     rng = np.random.default_rng(3)
     prev = WState(w=rng.uniform(0.05, 0.5, 16), level=0, time=0.0)
     inversions = []
-    u_from_w = Kinetics.u_from_w
-    monkeypatch.setattr(Kinetics, "u_from_w",
+    z_from_w = Kinetics.z_from_w
+    monkeypatch.setattr(Kinetics, "z_from_w",
                         lambda self, *a, **kw: inversions.append(1)
-                        or u_from_w(self, *a, **kw))
+                        or z_from_w(self, *a, **kw))
     state, _ = step_w(mesh, kin, 1e3, prev)
     assert len(inversions) == 1 and state.z is not None
     state, stats = step_w(mesh, kin, 1e3, state)
@@ -189,10 +189,10 @@ def test_step_w_inverts_only_a_state_without_z(monkeypatch):
 
 def _w_residual_step(mesh, kin, dt, w_prev):
     """Reference: the same step solved in w.  Its residual takes phi from
-    the equilibrium (u, v) of each iterate, one ``u_from_w`` inversion per
-    evaluation, so it shares no code with step_w's maps in z; the slope
-    only steers Newton, and is kin.flux_potential_deriv.  Both are
-    odd-extended."""
+    the equilibrium (u, v) of each iterate, u from one ``u_from_w``
+    inversion per evaluation and v = v_from_u(u), not from Phi of
+    step_w's maps in z; the slope only steers Newton, and is
+    kin.flux_potential_deriv.  Both are odd-extended."""
     from scipy.linalg import solve_banded
 
     m, t = mesh.volumes, mesh.transmissibilities

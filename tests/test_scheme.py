@@ -524,17 +524,20 @@ def test_linear_step_converges_at_the_rounding_floor():
 
 def test_step_never_inverts_the_equilibrium_map(monkeypatch):
     # the coupled step is one Newton attempt from the previous state: even
-    # a failing k > 0 step pays for no u_from_w inversion
+    # a failing k > 0 step pays for no z_from_w inversion
     mesh = build_uniform_1d(0.1, 8)
     kin = dimer()
     rng = np.random.default_rng(5)
     prev = State(u=rng.uniform(0, 0.5, 8), v=rng.uniform(0, 0.25, 8),
                  level=0, time=0.0)
     calls = []
-    u_from_w = Kinetics.u_from_w
-    monkeypatch.setattr(Kinetics, "u_from_w",
+    z_from_w = Kinetics.z_from_w
+    monkeypatch.setattr(Kinetics, "z_from_w",
                         lambda self, *a, **kw: calls.append(1)
-                        or u_from_w(self, *a, **kw))
+                        or z_from_w(self, *a, **kw))
+    kin.u_from_w(prev.u)  # every inversion goes through z_from_w
+    assert calls == [1]
+    calls.clear()
     assert kin.rate_factor > 0
     with pytest.raises(NonConvergenceError):
         step(mesh, kin, 10.0, prev,
@@ -653,8 +656,8 @@ def test_sup_norm_envelope_random_trials(k):
 
 def _rate_energy(mesh, kin, state):
     # sum_K m_K (Phi_u(u_K)/alpha + Phi_v(v_K)/beta), Phi = int_0^s r
-    phi_u = kin.k_forward * state.u ** 3 / 3.0
-    phi_v = kin.k_backward * state.v ** 2 / 2.0
+    phi_u = kin.rate_u.coeff * state.u ** 3 / 3.0
+    phi_v = kin.rate_v.coeff * state.v ** 2 / 2.0
     return float(np.sum(mesh.volumes * (phi_u / kin.alpha + phi_v / kin.beta)))
 
 
